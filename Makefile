@@ -61,8 +61,8 @@ serve-smoke:
 
 # Fleet scaling benchmark, reduced profile (seconds-scale): sparse
 # solvers vs the lumped reference on small fleets, plus the
-# cross-solver differential harness (streaming vs krylov vs dense expm
-# vs spectral); writes benchmarks/reports/BENCH_scaling_smoke.json.
+# cross-solver differential harness (uniformization vs krylov vs dense
+# expm vs spectral); writes benchmarks/reports/BENCH_scaling_smoke.json.
 scaling-smoke:
 	@FLEET_BENCH_PROFILE=smoke PYTHONPATH=src:$$PYTHONPATH \
 		$(PYTHON) -m pytest benchmarks/test_fleet_scaling.py \
@@ -71,13 +71,13 @@ scaling-smoke:
 	echo "scaling-smoke: OK"
 
 # The full sweep (1e3..2.6e5 flat states, plus the 1e6 slow tier);
-# writes benchmarks/reports/BENCH_scaling.json.  The 1e7 streaming-only
+# writes benchmarks/reports/BENCH_scaling.json.  The 1e7 uniformization-only
 # tier needs FLEET_BENCH_PROFILE=slow (see scaling-slow).
 scaling-full:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m pytest \
 		benchmarks/test_fleet_scaling.py -q
 
-# Nightly tier: the full sweep plus the 1e7-state streaming-only
+# Nightly tier: the full sweep plus the 1e7-state uniformization-only
 # point, under the slow-profile memory budget.
 scaling-slow:
 	FLEET_BENCH_PROFILE=slow PYTHONPATH=src:$$PYTHONPATH \

@@ -6,20 +6,22 @@ curve through ``auto`` dispatch — which routes these stiff, large
 chains to the Krylov backend — and certified point-by-point against the
 exact symmetry-lumped reference (``C(N+3,3)`` states).
 
-Each tier additionally runs the streaming bounded-truncation
-uniformization path (:mod:`repro.ctmc.streaming`) on a sub-horizon
-prefix of the grid, under the benchmark's *declared* memory budget
+Each tier additionally runs bounded-truncation uniformization
+(``transient_grid(..., method="uniformization")``, the one Jensen walk
+in :mod:`repro.ctmc.uniformization`) on a sub-horizon prefix of the
+grid, under the benchmark's *declared* memory budget
 (``REPRO_MEMORY_BUDGET_MB``), and checks the observed error against the
-solver's own certified truncation bound.  The sub-horizon keeps the
-cost honest: uniformization walks ``Lambda * t`` matvec terms, so the
-streaming tier prices by horizon, exactly like production dispatch
-assumes.
+walk's own certified truncation bound.  The sub-horizon keeps the cost
+honest: uniformization walks ``Lambda * t`` matvec terms, so this tier
+prices by horizon, exactly like production dispatch assumes.
 
 Per fleet size the benchmark records assembly time, solve time, peak
 RSS, the declared memory budget, the backends that actually dispatched
-(with counts), the streaming certificate, and the max absolute error
-vs the lumped reference, then writes
-``benchmarks/reports/BENCH_scaling.json``.
+(with counts), the uniformization certificate, and the max absolute
+error vs the lumped reference, then writes
+``benchmarks/reports/BENCH_scaling.json``.  The uniformization tier's
+block in each row keeps its report key ``streaming`` (and
+``streaming_only``) so new rows merge with committed ones.
 
 Profiles (``FLEET_BENCH_PROFILE``):
 
@@ -33,7 +35,7 @@ Profiles (``FLEET_BENCH_PROFILE``):
 
 The 1e6-state tier (N = 10) is ``slow``-marked: nightly CI appends it
 to the full profile's JSON.  The 1e7 tier (N = 12, 16 777 216 flat
-states, streaming-only) is both ``slow``-marked *and* gated behind
+states, uniformization-only) is both ``slow``-marked *and* gated behind
 ``FLEET_BENCH_PROFILE=slow`` — nightly CI opts in explicitly.
 """
 
@@ -54,8 +56,8 @@ from benchmarks.conftest import (
 )
 from repro.analysis.tables import format_table
 from repro.ctmc import config
-from repro.ctmc.streaming import streaming_transient_grid
 from repro.ctmc.transient import transient_grid
+from repro.ctmc.uniformization import truncation_certificate
 from repro.gsu.fleet import FleetParameters, FleetSolver
 
 #: The benchmark grid: a full 21-point transient curve over the fleet's
@@ -69,11 +71,11 @@ from repro.gsu.fleet import FleetParameters, FleetSolver
 #: exact lumped representation (220 states at N = 9), as everywhere.
 PHIS = tuple(p / 2.0 for p in range(0, 21))
 
-#: Streaming sub-horizon: the first five grid points (0..2 h).  The
-#: streaming walk costs ``Lambda * t`` matvecs with zero per-step
-#: allocation, so its tier is priced by this prefix horizon while the
-#: Krylov path carries the full 10-hour curve.
-STREAMING_PHIS = PHIS[:5]
+#: Uniformization sub-horizon: the first five grid points (0..2 h).  The
+#: walk costs ``Lambda * t`` matvecs with zero per-step allocation, so
+#: its tier is priced by this prefix horizon while the Krylov path
+#: carries the full 10-hour curve.
+UNIFORMIZATION_PHIS = PHIS[:5]
 
 #: Stiffness-threshold override applied during the benchmark so the
 #: 10-hour horizon dispatches like the 10 000-hour production regime:
@@ -86,7 +88,7 @@ ACCURACY_BOUND = 1e-8
 
 #: Declared memory budget per profile (MiB) — set as
 #: ``REPRO_MEMORY_BUDGET_MB`` for the whole case so runtime chunking
-#: and streaming workspace admission answer to the same number, and
+#: and uniformization workspace admission answer to the same number, and
 #: recorded verbatim in every result row.
 MEMORY_BUDGET_MB = {"smoke": 1024, "full": 4096, "slow": 12288}
 
@@ -131,30 +133,31 @@ def solve_fleet_case(n: int, streaming_only: bool = False) -> dict:
                 os.environ[name] = value
 
 
-def _streaming_pass(chain, rewards, reference) -> dict:
-    """The streaming-uniformization tier of one case.
+def _uniformization_pass(chain, rewards, reference) -> dict:
+    """The uniformization tier of one case.
 
-    Solves the sub-horizon prefix under the declared budget and reports
-    the certificate alongside the observed error, so the "within the
-    certified truncation bound" claim is checkable from the JSON alone.
+    Solves the sub-horizon prefix through the solver dispatcher (which
+    counts it under the ``uniformization`` label) under the declared
+    budget, and reports the walk's certificate alongside the observed
+    error, so the "within the certified truncation bound" claim is
+    checkable from the JSON alone.  The certificate depends only on the
+    chain's rate, the grid and the budget, so it is planned up front
+    without a second walk.
     """
-    config.record_dispatch("streaming-uniformization")
+    times = np.array(UNIFORMIZATION_PHIS)
+    cert = truncation_certificate(
+        chain.generator, chain.initial_distribution, times
+    )
     start = time.perf_counter()
-    result = streaming_transient_grid(
-        chain.generator,
-        chain.initial_distribution,
-        np.array(STREAMING_PHIS),
-        budget_bytes=config.memory_budget_bytes(),
-    )
+    rows = transient_grid(chain, times, method="uniformization")
     seconds = time.perf_counter() - start
-    curve = result.rows @ rewards
+    curve = rows @ rewards
     max_error = float(
-        np.max(np.abs(curve - reference[: len(STREAMING_PHIS)]))
+        np.max(np.abs(curve - reference[: len(UNIFORMIZATION_PHIS)]))
     )
-    cert = result.certificate
     return {
-        "phis": list(STREAMING_PHIS),
-        "horizon_hours": STREAMING_PHIS[-1],
+        "phis": list(UNIFORMIZATION_PHIS),
+        "horizon_hours": UNIFORMIZATION_PHIS[-1],
         "solve_seconds": seconds,
         "max_abs_error_vs_lumped": max_error,
         "distribution_bound": cert.distribution_bound,
@@ -171,6 +174,8 @@ def _streaming_pass(chain, rewards, reference) -> dict:
 def _solve_fleet_case(
     params: FleetParameters, streaming_only: bool = False
 ) -> dict:
+    """One row; ``streaming_only`` skips the full Krylov curve and runs
+    only the uniformization tier (the 1e7 tier)."""
     n = params.n_processes
     lumped = FleetSolver(params, mode="lumped")
     start = time.perf_counter()
@@ -194,7 +199,7 @@ def _solve_fleet_case(
         max_error = float(np.max(np.abs(curve - reference)))
         y_theta = float(curve[-1])
 
-    streaming = _streaming_pass(chain, rewards, reference)
+    streaming = _uniformization_pass(chain, rewards, reference)
     after = config.dispatch_counts()
     backends = {
         name: count - before.get(name, 0)
@@ -253,7 +258,7 @@ def scaling_rows() -> list[dict]:
     _write_results(rows)
     report = format_table(
         ["N", "flat states", "assemble s", "solve s", "max err",
-         "stream err", "RSS MiB"],
+         "unif err", "RSS MiB"],
         [
             [
                 row["n_processes"],
@@ -295,20 +300,21 @@ def test_accuracy_certified_against_lumped_reference(scaling_rows):
         )
 
 
-def test_streaming_within_certified_bound(scaling_rows):
+def test_uniformization_within_certified_bound(scaling_rows):
     for row in scaling_rows:
-        streaming = row["streaming"]
-        assert streaming["within_certified_bound"], (
-            f"N={row['n_processes']}: streaming error "
-            f"{streaming['max_abs_error_vs_lumped']:.2e} exceeds its own "
-            f"certificate {streaming['distribution_bound']:.2e}"
+        tier = row["streaming"]
+        assert tier["within_certified_bound"], (
+            f"N={row['n_processes']}: uniformization error "
+            f"{tier['max_abs_error_vs_lumped']:.2e} exceeds its own "
+            f"certificate {tier['distribution_bound']:.2e}"
         )
-        assert streaming["workspace_bytes"] <= streaming["budget_bytes"]
+        assert tier["workspace_bytes"] <= tier["budget_bytes"]
 
 
-def test_streaming_dispatch_counted(scaling_rows):
+def test_uniformization_dispatch_counted(scaling_rows):
+    # Counted by the dispatcher itself, not by the benchmark.
     for row in scaling_rows:
-        assert row["backends"].get("streaming-uniformization", 0) >= 1
+        assert row["backends"].get("uniformization", 0) >= 1
 
 
 def test_large_tier_reaches_target_scale(scaling_rows):
@@ -345,10 +351,10 @@ def test_million_state_tier():
 
 @pytest.mark.slow
 def test_ten_million_state_tier():
-    """N = 12: 16 777 216 flat states, streaming-only (nightly).
+    """N = 12: 16 777 216 flat states, uniformization-only (nightly).
 
     The full Krylov curve at this size would run for hours; the tier
-    demonstrates that blocked assembly plus the streaming walk stay
+    demonstrates that blocked assembly plus the uniformization walk stay
     within the declared budget and the certified bound at 1e7 states.
     Gated behind ``FLEET_BENCH_PROFILE=slow`` on top of the ``slow``
     marker so only the nightly sweep opts in.

@@ -6,7 +6,8 @@ solutions used throughout the reproduction:
 * :class:`~repro.ctmc.chain.CTMC` — a continuous-time Markov chain backed
   by a sparse generator matrix.
 * :mod:`~repro.ctmc.uniformization` — Jensen's uniformization with
-  Fox–Glynn truncation of the Poisson weights.
+  Fox–Glynn truncation of the Poisson weights: one budget-admitted,
+  certified walk serving every uniformization solve.
 * :mod:`~repro.ctmc.transient` — transient instant-of-time state
   probabilities and expected instant-of-time rewards.
 * :mod:`~repro.ctmc.accumulated` — expected accumulated reward over an
@@ -43,9 +44,9 @@ from repro.ctmc.absorbing import (
     mean_time_to_absorption,
 )
 from repro.ctmc.uniformization import (
-    accumulated_by_uniformization_grid,
+    TruncationCertificate,
     fox_glynn_weights,
-    transient_by_uniformization_grid,
+    uniformization_grid,
     uniformize,
 )
 from repro.ctmc.dtmc import DTMC, embedded_dtmc, uniformized_dtmc
@@ -56,20 +57,12 @@ from repro.ctmc.first_passage import (
     mean_first_passage_time,
 )
 from repro.ctmc.lumping import LumpedCTMC, check_lumpability, lump
-from repro.ctmc.moments import (
-    AccumulatedRewardMoments,
-    accumulated_reward_moments,
-    accumulated_reward_std,
-)
 from repro.ctmc.sensitivity import finite_difference_sensitivity
 
 __all__ = [
-    "AccumulatedRewardMoments",
     "LumpedCTMC",
     "check_lumpability",
     "lump",
-    "accumulated_reward_moments",
-    "accumulated_reward_std",
     "first_passage_cdf",
     "first_passage_quantile",
     "make_absorbing",
@@ -79,11 +72,11 @@ __all__ = [
     "AbsorbingAnalysis",
     "transient_distribution",
     "transient_grid",
-    "transient_by_uniformization_grid",
+    "uniformization_grid",
+    "TruncationCertificate",
     "instant_of_time_reward",
     "accumulated_reward",
     "accumulated_grid",
-    "accumulated_by_uniformization_grid",
     "transient_accumulated_grid",
     "averaged_interval_reward",
     "steady_state_distribution",

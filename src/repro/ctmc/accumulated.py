@@ -7,20 +7,23 @@ carry rate +1 and absorbing failure states in ``A4'`` carry rate -1.
 
 Backends:
 
-* ``"uniformization"`` — integrated uniformization; cost linear in
-  ``Lambda * t``.
+* ``"uniformization"`` — integrated uniformization through the one
+  Jensen walk (:func:`repro.ctmc.uniformization.uniformization_grid`);
+  cost linear in ``Lambda * t``, budget-admitted and certified.
 * ``"augmented-expm"`` — the augmented-generator trick: with
   ``A = [[Q, r], [0, 0]]`` the last component of ``[pi(0), 0] expm(A t)``
   is exactly ``int_0^t pi(u) r du``.  One dense matrix exponential,
   stiffness-independent — required for the paper's 1e4-hour horizons.
 * ``"augmented-krylov"`` — the same augmented-generator trick kept
-  sparse: one Krylov action (``expm_multiply``) of the CSR augmented
-  matrix.  Stiffness-independent with ``O(nnz)`` memory — the
-  large-chain workhorse above ``DENSE_STATE_LIMIT``.
+  sparse: one ``expm_multiply`` action of the CSR augmented matrix.
+  ``O(nnz)`` memory and no term bound (its cost still grows with the
+  augmented matrix's ``||A t||_1``) — the stiff large-chain workhorse
+  above ``DENSE_STATE_LIMIT``.
 * ``"quadrature"`` — adaptive quadrature over the transient solution
   (slow; cross-validation only).
 * ``"auto"`` — uniformization when non-stiff; otherwise augmented expm
-  within the dense limit and augmented Krylov beyond it.
+  within the dense limit and augmented Krylov beyond it
+  (:func:`repro.ctmc.config.auto_method`).
 """
 
 from __future__ import annotations
@@ -35,19 +38,12 @@ from repro.ctmc import config
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.linalg import validate_rewards
-from repro.ctmc.streaming import streaming_accumulated_grid
 from repro.ctmc.transient import transient_distribution
-from repro.ctmc.uniformization import (
-    _accumulated_uniformization_walk,
-    _validate_time_grid,
-    accumulated_by_uniformization,
-    accumulated_by_uniformization_grid,
-)
+from repro.ctmc.uniformization import _validate_time_grid, uniformization_grid
 
 #: Supported accumulated-reward solver backends.
 ACCUMULATED_METHODS = (
     "uniformization",
-    "streaming",
     "augmented-expm",
     "augmented-krylov",
     "quadrature",
@@ -58,7 +54,6 @@ ACCUMULATED_METHODS = (
 ACCUMULATED_GRID_METHODS = (
     "auto",
     "uniformization",
-    "streaming",
     "augmented-expm",
     "augmented-krylov",
     "augmented-propagator",
@@ -115,31 +110,14 @@ def accumulated_reward(
     if t == 0.0:
         return 0.0
     if method == "auto":
-        lim = config.limits()
-        max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-        if max_exit * t <= lim.auto_stiffness_threshold:
-            method = (
-                "streaming"
-                if chain.num_states >= lim.streaming_state_threshold
-                else "uniformization"
-            )
-        elif chain.num_states < lim.dense_state_limit:
-            method = "augmented-expm"
-        else:
-            # Stiff and beyond the dense limit: stay sparse.
-            method = "augmented-krylov"
+        method = config.auto_method(chain, t, accumulated=True)
     if method == "uniformization":
         config.record_dispatch("uniformization")
-        return accumulated_by_uniformization(
-            chain.generator, chain.initial_distribution, r, t, tolerance=tolerance
-        )
-    if method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        result = streaming_accumulated_grid(
+        result = uniformization_grid(
             chain.generator,
             chain.initial_distribution,
-            r,
-            np.array([t]),
+            [t],
+            rewards=r,
             tolerance=tolerance,
         )
         return float(result.accumulated[0])
@@ -207,15 +185,15 @@ def accumulated_grid(
     by one of four strategies:
 
     * ``"uniformization"`` — one incremental integrated-uniformization
-      pass (:func:`~repro.ctmc.uniformization.accumulated_by_uniformization_grid`).
+      pass (:func:`~repro.ctmc.uniformization.uniformization_grid`).
       Sparse, no state limit; cost grows with ``Lambda * times[-1]``.
     * ``"augmented-expm"`` — an independent dense augmented-generator
       exponential per unique point; arithmetic identical to the scalar
       :func:`accumulated_reward` augmented branch.  Stiffness-
       independent.
     * ``"augmented-krylov"`` — segment-stepped sparse Krylov actions of
-      the CSR augmented generator; stiffness-independent with ``O(nnz)``
-      memory, the backend large composed fleets dispatch to.
+      the CSR augmented generator; ``O(nnz)`` memory, the backend stiff
+      large composed fleets dispatch to.
     * ``"augmented-propagator"`` — step the augmented state with reused
       ``exp(A dt)`` propagators; cheapest for dense grids on small
       chains, with step round-off compounding along the grid.
@@ -234,34 +212,14 @@ def accumulated_grid(
     r = validate_rewards(rewards, chain.num_states)
     unique, inverse = np.unique(grid, return_inverse=True)
     if method == "auto":
-        lim = config.limits()
-        max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-        if max_exit * float(unique[-1]) <= lim.auto_stiffness_threshold:
-            method = (
-                "streaming"
-                if chain.num_states >= lim.streaming_state_threshold
-                else "uniformization"
-            )
-        elif chain.num_states < lim.dense_state_limit:
-            method = "augmented-expm"
-        else:
-            method = "augmented-krylov"
+        method = config.auto_method(chain, float(unique[-1]), accumulated=True)
     if method == "uniformization":
         config.record_dispatch("uniformization")
-        out = accumulated_by_uniformization_grid(
+        out = uniformization_grid(
             chain.generator,
             chain.initial_distribution,
-            r,
             unique,
-            tolerance=tolerance,
-        )
-    elif method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        out = streaming_accumulated_grid(
-            chain.generator,
-            chain.initial_distribution,
-            r,
-            unique,
+            rewards=r,
             tolerance=tolerance,
         ).accumulated
     elif method == "augmented-expm":
@@ -322,7 +280,6 @@ def _augmented_krylov_grid(
 TRANSIENT_ACCUMULATED_GRID_METHODS = (
     "auto",
     "uniformization",
-    "streaming",
     "augmented-expm",
     "augmented-krylov",
 )
@@ -364,34 +321,14 @@ def transient_accumulated_grid(
     r = validate_rewards(rewards, chain.num_states)
     unique, inverse = np.unique(grid, return_inverse=True)
     if method == "auto":
-        lim = config.limits()
-        max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-        if max_exit * float(unique[-1]) <= lim.auto_stiffness_threshold:
-            method = (
-                "streaming"
-                if chain.num_states >= lim.streaming_state_threshold
-                else "uniformization"
-            )
-        elif chain.num_states < lim.dense_state_limit:
-            method = "augmented-expm"
-        else:
-            method = "augmented-krylov"
+        method = config.auto_method(chain, float(unique[-1]), accumulated=True)
     if method == "uniformization":
         config.record_dispatch("uniformization")
-        acc, rows = _accumulated_uniformization_walk(
+        result = uniformization_grid(
             chain.generator,
             chain.initial_distribution,
-            r,
             unique,
-            tolerance,
-        )
-    elif method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        result = streaming_accumulated_grid(
-            chain.generator,
-            chain.initial_distribution,
-            r,
-            unique,
+            rewards=r,
             tolerance=tolerance,
         )
         rows, acc = result.rows, result.accumulated

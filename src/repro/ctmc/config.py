@@ -7,6 +7,9 @@ one documented place, instead of being scattered across
 ``AUTO_STIFFNESS_THRESHOLD``
     ``Lambda * t`` above which ``auto`` dispatch considers a problem
     stiff and abandons uniformization for a matrix-exponential backend.
+    Below it, uniformization serves every chain size through the one
+    budget-admitted, certificate-carrying Jensen walk
+    (:func:`repro.ctmc.uniformization.uniformization_grid`).
 ``DENSE_STATE_LIMIT``
     Largest chain the dense backends (``dense-expm``, spectral
     fallback, augmented dense exponentials) will densify.  Above it the
@@ -27,14 +30,9 @@ one documented place, instead of being scattered across
     Largest chain :func:`repro.ctmc.lumping.lump` processes with the
     per-state reference loop; larger chains use the vectorised sparse
     aggregation path.
-``STREAMING_STATE_THRESHOLD``
-    State count at which the grid ``auto`` dispatch swaps the plain
-    uniformization walk for the *streaming* bounded-truncation path
-    (:mod:`repro.ctmc.streaming`): preallocated ping-pong workspaces
-    sized against ``REPRO_MEMORY_BUDGET_MB``, no per-step allocation,
-    and a per-call truncation-error certificate.  Both paths walk the
-    same Fox–Glynn series; streaming is about memory discipline at the
-    1e6+-state tier, not a different numeric method.
+
+:func:`auto_method` is the one ``auto`` rule every transient and
+accumulated solver, scalar or grid, dispatches through.
 
 Each limit has an environment override (``REPRO_<NAME>``) read at
 dispatch time, so a campaign can be re-run with, say,
@@ -54,6 +52,8 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 #: ``Lambda * t`` threshold above which ``auto`` switches away from
 #: uniformization (stiffness dispatch).
@@ -80,10 +80,6 @@ MAX_UNIFORMIZATION_TERMS = 1_000_000
 #: Largest chain lumped with the per-state reference loop.
 LUMP_LOOP_LIMIT = 2_000
 
-#: State count at which grid ``auto`` dispatch prefers the streaming
-#: (workspace-disciplined, certificate-carrying) uniformization path.
-STREAMING_STATE_THRESHOLD = 100_000
-
 _ENV_PREFIX = "REPRO_"
 
 
@@ -98,7 +94,6 @@ class SolverLimits:
     direct_steady_limit: int = DIRECT_STEADY_LIMIT
     max_uniformization_terms: int = MAX_UNIFORMIZATION_TERMS
     lump_loop_limit: int = LUMP_LOOP_LIMIT
-    streaming_state_threshold: int = STREAMING_STATE_THRESHOLD
 
 
 _DEFAULTS = SolverLimits()
@@ -135,6 +130,34 @@ def limits() -> SolverLimits:
     )
 
 
+def auto_method(chain, t: float, accumulated: bool = False) -> str:
+    """The backend ``auto`` dispatch picks for solving ``chain`` to ``t``.
+
+    One rule for every transient and accumulated solver, scalar and
+    grid (for a grid, ``t`` is its last point); the limits are read
+    once.  Non-stiff problems (``max exit rate * t`` at most
+    ``AUTO_STIFFNESS_THRESHOLD``) take ``"uniformization"`` at any
+    size.  Stiff transient problems take ``"spectral"`` up to
+    ``SPECTRAL_STATE_LIMIT`` states, ``"dense-expm"`` up to
+    ``DENSE_STATE_LIMIT`` and ``"krylov"`` beyond it.  Stiff
+    accumulated problems take ``"augmented-expm"`` while the
+    ``n + 1``-state augmented generator stays below the dense limit and
+    ``"augmented-krylov"`` otherwise.
+    """
+    lim = limits()
+    n = chain.num_states
+    max_exit = float(np.max(chain.exit_rates(), initial=0.0))
+    if max_exit * t <= lim.auto_stiffness_threshold:
+        return "uniformization"
+    if accumulated:
+        return "augmented-expm" if n < lim.dense_state_limit else "augmented-krylov"
+    if n <= lim.spectral_state_limit:
+        return "spectral"
+    if n <= lim.dense_state_limit:
+        return "dense-expm"
+    return "krylov"
+
+
 # ----------------------------------------------------------------------
 # Memory budget
 # ----------------------------------------------------------------------
@@ -144,9 +167,9 @@ def memory_budget_bytes() -> int:
     ``REPRO_MEMORY_BUDGET_MB`` overrides; the default is half of
     physical RAM (graceful fallback to 4 GiB where the sysconf keys are
     unavailable).  Two consumers share this single definition: the
-    campaign executor caps *per-chunk* grid blocks with it, and the
-    streaming uniformization path (:mod:`repro.ctmc.streaming`) refuses
-    to start a solve whose preallocated workspaces would not fit.
+    campaign executor caps *per-chunk* grid blocks with it, and
+    :func:`repro.ctmc.uniformization.uniformization_grid` refuses to
+    start a solve whose preallocated workspaces would not fit.
     Read at call time, so long-lived processes pick up changes.
     """
     raw = os.environ.get("REPRO_MEMORY_BUDGET_MB")

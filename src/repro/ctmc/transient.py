@@ -3,16 +3,24 @@
 The primary entry points are :func:`transient_distribution` and
 :func:`instant_of_time_reward`.  Five backends are available:
 
-* ``"uniformization"`` — Jensen's method with Fox–Glynn truncation.
-  Cost grows linearly with ``Lambda * t``, so it suits non-stiff
-  problems.  Sparse; no state-count limit, but the Fox–Glynn window is
-  bounded by ``MAX_UNIFORMIZATION_TERMS`` (bounded truncation) so a
-  stiff problem fails fast instead of walking millions of matvecs.
-* ``"expm"`` / ``"krylov"`` — Krylov action of the matrix exponential
-  (``scipy.sparse.linalg.expm_multiply``).  Sparse, stiffness-tolerant;
-  the backend ``auto`` picks for chains too large to densify.  As a
-  grid method ``"krylov"`` steps segment-to-segment (one Krylov action
-  per segment) instead of restarting from ``t = 0`` per point.
+* ``"uniformization"`` — Jensen's method with Fox–Glynn truncation
+  (:func:`repro.ctmc.uniformization.uniformization_grid`; a scalar
+  solve is the one-point grid).  Cost grows linearly with
+  ``Lambda * t``, so it suits non-stiff problems.  Sparse with no
+  state-count limit; every solve is admitted against
+  ``REPRO_MEMORY_BUDGET_MB``, its Fox–Glynn windows are bounded by
+  ``MAX_UNIFORMIZATION_TERMS`` (a stiff problem fails fast instead of
+  walking millions of matvecs), and it carries a certified truncation
+  bound.
+* ``"expm"`` / ``"krylov"`` — the action of the matrix exponential via
+  ``scipy.sparse.linalg.expm_multiply``: Al-Mohy & Higham's truncated
+  Taylor method with scaling (the label ``krylov`` is historical; no
+  Krylov subspace is built).  Sparse, ``O(nnz)`` memory and no term
+  bound; the backend ``auto`` picks for stiff chains too large to
+  densify.  It is *not* stiffness-independent: the number of scaling
+  steps, and so of matvecs, grows with ``||Q t||_1``.  As a grid method
+  ``"krylov"`` steps segment-to-segment instead of restarting from
+  ``t = 0`` per point.
 * ``"dense-expm"`` — dense Padé + scaling-and-squaring
   (``scipy.linalg.expm``).  Cost is ``O(n^3 log(Lambda t))`` —
   essentially independent of stiffness, which matters for the paper's
@@ -25,15 +33,11 @@ The primary entry points are :func:`transient_distribution` and
   cheaper than repeated Padé exponentials on tiny chains; limited to
   ``SPECTRAL_STATE_LIMIT`` states and falls back to dense expm on
   defective or ill-conditioned generators.
-* ``"streaming"`` — the same Jensen series with production memory
-  discipline (:mod:`repro.ctmc.streaming`): preallocated ping-pong
-  workspaces admitted against ``REPRO_MEMORY_BUDGET_MB``, no per-step
-  allocation, and a certified truncation-error bound.  The 1e6+-state
-  tier's non-stiff workhorse.
-* ``"auto"`` — uniformization when ``Lambda * t`` is small (streaming
-  at or above ``STREAMING_STATE_THRESHOLD`` states); for stiff
+* ``"auto"`` — uniformization when ``Lambda * t`` is small; for stiff
   problems, spectral on tiny chains, dense expm within the dense limit,
   and sparse Krylov beyond it (the default used by the GSU measures).
+  The rule is :func:`repro.ctmc.config.auto_method`, shared by every
+  scalar and grid solver.
 
 All dispatch cutoffs live in :mod:`repro.ctmc.config` (with env-var
 overrides); every solve records its backend there so the serving layer
@@ -56,17 +60,11 @@ from repro.ctmc.config import (  # noqa: F401  (re-exported compatibility names)
 )
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.linalg import validate_rewards
-from repro.ctmc.streaming import streaming_transient_grid
-from repro.ctmc.uniformization import (
-    _validate_time_grid,
-    transient_by_uniformization,
-    transient_by_uniformization_grid,
-)
+from repro.ctmc.uniformization import _validate_time_grid, uniformization_grid
 
 #: Supported transient solver backends.
 TRANSIENT_METHODS = (
     "uniformization",
-    "streaming",
     "expm",
     "dense-expm",
     "spectral",
@@ -77,7 +75,6 @@ TRANSIENT_METHODS = (
 TRANSIENT_GRID_METHODS = (
     "auto",
     "uniformization",
-    "streaming",
     "dense-expm",
     "spectral",
     "propagator",
@@ -118,18 +115,12 @@ def transient_distribution(
     if t == 0.0:
         return pi0
     if method == "auto":
-        method = _choose_method(chain, t)
+        method = config.auto_method(chain, t)
     if method == "uniformization":
         config.record_dispatch("uniformization")
-        return transient_by_uniformization(
-            chain.generator, pi0, t, tolerance=tolerance
-        )
-    if method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        result = streaming_transient_grid(
-            chain.generator, pi0, np.array([t]), tolerance=tolerance
-        )
-        return result.rows[0]
+        return uniformization_grid(
+            chain.generator, pi0, [t], tolerance=tolerance
+        ).rows[0]
     if method == "spectral":
         rows = _spectral_rows(chain, np.array([t]))
         if rows is not None:
@@ -141,7 +132,8 @@ def transient_distribution(
         config.record_dispatch("dense-expm")
         result = pi0 @ dense_expm(chain.generator.toarray() * t)
     else:
-        # expm backend: pi(t) = pi(0) exp(Q t)  ==  (exp(Q^T t) pi(0)^T)^T
+        # "expm" (or "krylov" from auto):
+        # pi(t) = pi(0) exp(Q t)  ==  (exp(Q^T t) pi(0)^T)^T
         config.record_dispatch("krylov")
         result = expm_multiply(chain.generator.T.tocsc() * t, pi0)
     result = np.clip(result, 0.0, None)
@@ -149,25 +141,6 @@ def transient_distribution(
     if total > 0:
         result = result / total
     return result
-
-
-def _choose_method(chain: CTMC, t: float) -> str:
-    """Pick uniformization / spectral / dense expm / Krylov by stiffness
-    and size (cutoffs from :func:`repro.ctmc.config.limits`)."""
-    lim = config.limits()
-    max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-    if max_exit * t <= lim.auto_stiffness_threshold:
-        if chain.num_states >= lim.streaming_state_threshold:
-            return "streaming"
-        return "uniformization"
-    if chain.num_states <= lim.spectral_state_limit:
-        return "spectral"
-    if chain.num_states <= lim.dense_state_limit:
-        return "dense-expm"
-    # Stiff *and* beyond the dense limit: stay sparse via the Krylov
-    # action of the exponential rather than densifying or walking an
-    # unbounded uniformization series.
-    return "expm"
 
 
 def _spectral_rows(chain: CTMC, unique: np.ndarray) -> np.ndarray | None:
@@ -234,12 +207,13 @@ def transient_grid(
     five strategies:
 
     * ``"uniformization"`` — one incremental Fox–Glynn pass across the
-      whole grid (:func:`~repro.ctmc.uniformization.transient_by_uniformization_grid`).
+      whole grid (:func:`~repro.ctmc.uniformization.uniformization_grid`).
       Sparse; no state-count limit; non-uniform grids included.  Cost
       grows with ``Lambda * times[-1]``, so it suits non-stiff problems.
-    * ``"krylov"`` — segment-stepped sparse Krylov actions
-      (``expm_multiply`` per segment).  Sparse and stiffness-tolerant;
-      the large-chain workhorse above the dense limit.
+    * ``"krylov"`` — segment-stepped sparse ``expm_multiply`` actions.
+      ``O(nnz)`` memory and no term bound; cost grows with
+      ``||Q dt||_1``.  The workhorse for stiff chains above the dense
+      limit.
     * ``"dense-expm"`` — an independent dense ``expm(Q t)`` per unique
       point; arithmetic identical to the scalar
       :func:`transient_distribution` dense branch.  Stiffness-
@@ -252,10 +226,9 @@ def transient_grid(
     * ``"expm"`` — an independent Krylov ``expm_multiply`` per point
       from ``t = 0`` (cross-validation backend).
 
-    ``"auto"`` (the default) picks uniformization when
-    ``Lambda * times[-1]`` is below ``AUTO_STIFFNESS_THRESHOLD``,
-    dense-expm for stiff problems within ``DENSE_STATE_LIMIT``, and the
-    sparse Krylov stepper beyond it.  Returns an array of shape
+    ``"auto"`` (the default) applies :func:`repro.ctmc.config.auto_method`
+    at ``times[-1]``: uniformization when non-stiff, otherwise spectral,
+    dense-expm or the sparse Krylov stepper by size.  Returns an array of shape
     ``(len(times), num_states)``.
     """
     grid = _validate_time_grid(times)
@@ -266,18 +239,10 @@ def transient_grid(
         )
     unique, inverse = np.unique(grid, return_inverse=True)
     if method == "auto":
-        method = _choose_grid_method(chain, float(unique[-1]))
+        method = config.auto_method(chain, float(unique[-1]))
     if method == "uniformization":
         config.record_dispatch("uniformization")
-        out = transient_by_uniformization_grid(
-            chain.generator,
-            chain.initial_distribution,
-            unique,
-            tolerance=tolerance,
-        )
-    elif method == "streaming":
-        config.record_dispatch("streaming-uniformization")
-        out = streaming_transient_grid(
+        out = uniformization_grid(
             chain.generator,
             chain.initial_distribution,
             unique,
@@ -301,23 +266,6 @@ def transient_grid(
         for k, t in enumerate(unique):
             out[k] = transient_distribution(chain, float(t), method="expm")
     return out[inverse]
-
-
-def _choose_grid_method(chain: CTMC, t_max: float) -> str:
-    """Pick the grid strategy by stiffness and size (mirrors scalar auto)."""
-    lim = config.limits()
-    max_exit = float(np.max(chain.exit_rates(), initial=0.0))
-    if max_exit * t_max <= lim.auto_stiffness_threshold:
-        if chain.num_states >= lim.streaming_state_threshold:
-            return "streaming"
-        return "uniformization"
-    if chain.num_states <= lim.spectral_state_limit:
-        return "spectral"
-    if chain.num_states <= lim.dense_state_limit:
-        return "dense-expm"
-    # Stiff *and* large: the segment-stepped Krylov pass keeps memory
-    # O(nnz) and its cost does not scale with Lambda * t_max.
-    return "krylov"
 
 
 def _dense_expm_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
@@ -370,9 +318,11 @@ def _krylov_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
 
     ``pi(t_{j+1}) = pi(t_j) exp(Q dt_j)`` with each step one
     ``expm_multiply`` on the transposed CSR generator — memory stays
-    ``O(nnz + n)`` regardless of state count, and cost is independent of
-    the stiffness ratio (unlike uniformization, whose series length is
-    ``Lambda * t``).  Uniform grids collapse into a *single*
+    ``O(nnz + n)`` regardless of state count.  ``expm_multiply`` is
+    Al-Mohy & Higham's truncated Taylor method with scaling, not a
+    Krylov subspace method, and its cost is not independent of
+    stiffness: the number of scaling steps (each a run of matvecs)
+    grows with ``||Q dt||_1``.  Uniform grids collapse into a *single*
     ``expm_multiply`` call over the whole grid (scipy evaluates all the
     equally spaced endpoints from one Krylov decomposition per step).
     """

@@ -12,7 +12,31 @@ is below a requested tolerance.
 
 This is the transient engine used by UltraSAN/Möbius-style tools and the
 one this reproduction relies on for every instant-of-time constituent
-measure.
+measure.  :func:`uniformization_grid` is the package's only Jensen walk:
+every ``"uniformization"`` solve — scalar or grid, transient or
+accumulated, ten states or ten million — runs through it, with
+
+* **Preallocated workspaces** — four state vectors
+  (:class:`UniformizationWorkspace`) allocated once per call (or once
+  per caller that keeps the workspace).  The inner step performs **no
+  O(n) allocation**: the matvec writes into a workspace buffer through
+  scipy's ``csr_matvec`` kernel (per-step-allocating fallback if the
+  private kernel is unavailable, flagged on the certificate).
+* **No uniformized matrix** — the step is ``y = x + (Q^T x) / L`` on
+  the transposed generator, so the only matrix copy is the transpose.
+* **Budget admission** — the solve refuses to start if workspaces +
+  transposed generator + result rows exceed
+  :func:`repro.ctmc.config.memory_budget_bytes`
+  (``REPRO_MEMORY_BUDGET_MB``).  The budget never affects the
+  arithmetic: results are bitwise identical across any budget large
+  enough to admit the solve.
+* **Bounded truncation** — every segment's Fox–Glynn window is planned
+  and checked against ``MAX_UNIFORMIZATION_TERMS`` before the first
+  matvec, so a stiff request fails fast instead of walking millions of
+  terms.
+* **Certified error accounting** — every solve carries a
+  :class:`TruncationCertificate` bounding the L1 error of the
+  distribution rows and the absolute error of accumulated rewards.
 """
 
 from __future__ import annotations
@@ -27,25 +51,15 @@ from repro.ctmc import config
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.linalg import as_csr, uniformization_rate, validate_generator
 
+try:  # pragma: no cover - exercised implicitly by every uniformization test
+    from scipy.sparse import _sparsetools as _st
 
-def _check_window_bound(right: int) -> None:
-    """Bounded truncation: refuse pathologically long Jensen series.
+    _CSR_MATVEC = _st.csr_matvec
+except (ImportError, AttributeError):  # pragma: no cover - old scipy
+    _CSR_MATVEC = None
 
-    The Fox–Glynn window length is ``O(Lambda * t)``; for a stiff problem
-    that can mean millions of matrix-vector products per segment.  The
-    ``auto`` dispatch layers route such problems to the Krylov backends,
-    but a direct ``method="uniformization"`` request fails fast here
-    instead of silently burning hours.  Bound configurable via
-    ``REPRO_MAX_UNIFORMIZATION_TERMS``.
-    """
-    limit = config.limits().max_uniformization_terms
-    if right > limit:
-        raise CTMCError(
-            f"uniformization series needs {right} terms, above the "
-            f"MAX_UNIFORMIZATION_TERMS bound of {limit}; use the Krylov "
-            "('expm'/'krylov') or dense-expm backend for this stiffness, "
-            "or raise REPRO_MAX_UNIFORMIZATION_TERMS"
-        )
+#: Whether the zero-allocation CSR matvec kernel is available.
+ALLOCATION_FREE_KERNEL = _CSR_MATVEC is not None
 
 
 @dataclass(frozen=True)
@@ -199,51 +213,6 @@ def uniformize(q, rate: float | None = None) -> tuple[sp.csr_matrix, float]:
     return p, rate
 
 
-def transient_by_uniformization(
-    q,
-    initial: np.ndarray,
-    t: float,
-    tolerance: float = 1e-12,
-) -> np.ndarray:
-    """Transient state distribution ``pi(t)`` via uniformization.
-
-    Parameters
-    ----------
-    q:
-        CTMC generator.
-    initial:
-        Initial distribution row vector ``pi(0)``.
-    t:
-        Time horizon (``t >= 0``).
-    tolerance:
-        Bound on neglected Poisson mass (propagates to an L1 bound on the
-        result error).
-    """
-    if t < 0:
-        raise CTMCError(f"time must be non-negative, got {t}")
-    pi0 = np.asarray(initial, dtype=np.float64)
-    if t == 0.0:
-        return pi0.copy()
-    p, rate = uniformize(q)
-    window = fox_glynn_weights(rate * t, tolerance=tolerance)
-    _check_window_bound(window.right)
-    vec = pi0.copy()
-    result = np.zeros_like(vec)
-    scaled = np.empty_like(vec)  # preallocated workspace for w * vec
-    # Walk k = 0 .. right, accumulating weighted iterates inside the window.
-    for k in range(window.right + 1):
-        if k >= window.left:
-            np.multiply(window.weights[k - window.left], vec, out=scaled)
-            result += scaled
-        if k < window.right:
-            vec = vec @ p
-    # Compensate the truncated mass so probabilities still sum to ~1.
-    mass = window.total_mass
-    if mass > 0:
-        result /= mass
-    return result
-
-
 def _validate_time_grid(times) -> np.ndarray:
     """Validate a 1-D, non-negative, non-decreasing time grid."""
     grid = np.asarray(list(times), dtype=np.float64)
@@ -256,166 +225,326 @@ def _validate_time_grid(times) -> np.ndarray:
     return grid
 
 
-def transient_by_uniformization_grid(
+# ----------------------------------------------------------------------
+# The Jensen walk
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TruncationCertificate:
+    """Certified error accounting of one uniformization solve.
+
+    Attributes
+    ----------
+    segments:
+        Number of positive-length grid segments walked.
+    terms:
+        Total Jensen terms (matrix-vector products) across all segments.
+    distribution_bound:
+        L1 bound on every returned distribution row: the sum over
+        segments of ``2 * truncated_mass`` (left + right truncation plus
+        renormalisation; propagation through later segments is
+        non-expansive because ``P`` is stochastic and Poisson weights
+        are a convex combination).
+    accrual_bound:
+        Absolute bound on every accumulated-reward value: per segment,
+        the closed-form survival-series tail
+        ``(max|r| / L) * E[(N - R - 1)^+]`` plus the carried
+        distribution error accrued over the segment
+        (``carried_bound * max|r| * dt``).  Zero when no rewards were
+        integrated.
+    workspace_bytes:
+        Bytes the solve admitted against the budget (workspaces +
+        transposed generator + result rows).
+    budget_bytes:
+        The budget the solve was admitted under.
+    allocation_free:
+        True when the zero-allocation matvec kernel served every step.
+    """
+
+    segments: int
+    terms: int
+    distribution_bound: float
+    accrual_bound: float
+    workspace_bytes: int
+    budget_bytes: int
+    allocation_free: bool
+
+
+@dataclass(frozen=True)
+class UniformizationResult:
+    """Distribution rows (and optional accumulated rewards) + certificate."""
+
+    rows: np.ndarray
+    accumulated: np.ndarray | None
+    certificate: TruncationCertificate
+
+
+class UniformizationWorkspace:
+    """Preallocated state-vector buffers for the Jensen walk.
+
+    Four ``float64`` vectors of length ``num_states``: the current
+    Jensen iterate, the matvec target, the weighted accumulator, and a
+    scaling scratch.  A caller that keeps the workspace and passes it
+    to every :func:`uniformization_grid` call on one chain touches the
+    allocator for these buffers exactly once.
+    """
+
+    #: Number of state vectors the workspace holds.
+    VECTORS = 4
+
+    def __init__(self, num_states: int):
+        if num_states < 1:
+            raise CTMCError(
+                f"workspace needs >= 1 state, got {num_states}"
+            )
+        self.num_states = int(num_states)
+        self.vec = np.empty(num_states)
+        self.nxt = np.empty(num_states)
+        self.acc = np.empty(num_states)
+        self.scaled = np.empty(num_states)
+
+
+def required_bytes(
+    num_states: int, nnz: int, grid_points: int, with_accumulated: bool = False
+) -> int:
+    """Bytes a uniformization solve admits against the memory budget.
+
+    Counts the four workspace vectors, the transposed-generator copy
+    (data + int32 indices + indptr), the result rows block
+    (``grid_points x num_states`` doubles) and, for accumulated solves,
+    the rewards vector and totals.  Per-segment Poisson weight arrays
+    are O(window length), independent of the state count, and not
+    charged.
+    """
+    vectors = UniformizationWorkspace.VECTORS * 8 * num_states
+    generator = nnz * 12 + (num_states + 1) * 8
+    rows = grid_points * num_states * 8
+    extra = (num_states + grid_points) * 8 if with_accumulated else 0
+    return vectors + generator + rows + extra
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """Poisson weights for one positive-length grid segment."""
+
+    window: PoissonWindow
+    #: Survival weights ``sf(0..R_acc)`` (empty without rewards).
+    sf_weights: np.ndarray
+    #: Last Jensen term the segment walks to.
+    right: int
+
+
+def _plan(
+    q: sp.csr_matrix,
+    initial: np.ndarray,
+    rewards: np.ndarray | None,
+    times,
+    tolerance: float,
+    budget_bytes: int | None,
+) -> tuple[np.ndarray, float, list[_Segment | None], TruncationCertificate]:
+    """Validate, admit and plan a solve before any state vector exists.
+
+    Returns ``(grid, rate, segments, certificate)`` where
+    ``segments[j]`` holds the Poisson weights of the segment ending at
+    ``grid[j]`` (``None`` for a zero-length one).  Budget admission and
+    the ``MAX_UNIFORMIZATION_TERMS`` window bound are both checked here,
+    for every segment, so a refused solve costs no matvec.
+    """
+    grid = _validate_time_grid(times)
+    n = q.shape[0]
+    if initial.shape != (n,):
+        raise CTMCError(
+            f"initial distribution has shape {initial.shape}, expected ({n},)"
+        )
+    with_acc = rewards is not None
+    budget = (
+        int(budget_bytes)
+        if budget_bytes is not None
+        else config.memory_budget_bytes()
+    )
+    required = required_bytes(
+        n, int(q.nnz), int(grid.size), with_accumulated=with_acc
+    )
+    if required > budget:
+        raise CTMCError(
+            f"uniformization needs {required} workspace bytes "
+            f"({n} states, {q.nnz} nnz, {grid.size} grid points) "
+            f"but the memory budget is {budget}; raise "
+            f"REPRO_MEMORY_BUDGET_MB or solve fewer grid points per pass"
+        )
+    max_terms = config.limits().max_uniformization_terms
+    rate = uniformization_rate(q)
+    rmax = float(np.max(np.abs(rewards))) if with_acc else 0.0
+    segments: list[_Segment | None] = []
+    pi_bound = 0.0
+    acc_bound = 0.0
+    prev = 0.0
+    for t in grid:
+        dt = float(t) - prev
+        prev = float(t)
+        if dt <= 0.0:
+            segments.append(None)
+            continue
+        mean = rate * dt
+        window = fox_glynn_weights(mean, tolerance=tolerance)
+        right = window.right
+        sf_weights = np.empty(0)
+        if with_acc:
+            # The carried distribution error accrues into the integral
+            # over this segment before the walk tightens anything, so
+            # charge it against the bound first.
+            acc_bound += pi_bound * rmax * dt
+            sf_right = accrual_right_point(mean, tolerance)
+            sf_weights = stats.poisson(mean).sf(np.arange(sf_right + 1))
+            acc_bound += (rmax / rate) * poisson_excess_mean(
+                mean, sf_right + 1
+            )
+            right = max(right, sf_right)
+        if right > max_terms:
+            raise CTMCError(
+                f"uniformization series needs {right} terms, above the "
+                f"MAX_UNIFORMIZATION_TERMS bound of {max_terms}; use the "
+                "Krylov ('expm'/'krylov') or dense-expm backend for this "
+                "stiffness, or raise REPRO_MAX_UNIFORMIZATION_TERMS"
+            )
+        pi_bound += 2.0 * window.truncated_mass
+        segments.append(_Segment(window, sf_weights, right))
+    walked = [s for s in segments if s is not None]
+    certificate = TruncationCertificate(
+        segments=len(walked),
+        terms=sum(s.right for s in walked),
+        distribution_bound=pi_bound,
+        accrual_bound=acc_bound,
+        workspace_bytes=required,
+        budget_bytes=budget,
+        allocation_free=ALLOCATION_FREE_KERNEL,
+    )
+    return grid, rate, segments, certificate
+
+
+def truncation_certificate(
     q,
     initial: np.ndarray,
     times,
+    rewards=None,
     tolerance: float = 1e-12,
-) -> np.ndarray:
-    """Transient distributions at every point of a time grid, one pass.
+    budget_bytes: int | None = None,
+) -> TruncationCertificate:
+    """The certificate :func:`uniformization_grid` would return, unwalked.
+
+    Every field depends on the generator's shape and rate, the grid,
+    the rewards' magnitude and the budget — never on the iterates — so
+    it is computed from the same plan without a single matvec.  Raises
+    exactly when the solve would be refused.
+    """
+    q = validate_generator(as_csr(q))
+    pi0 = np.asarray(initial, dtype=np.float64)
+    r = None if rewards is None else np.asarray(rewards, dtype=np.float64)
+    return _plan(q, pi0, r, times, tolerance, budget_bytes)[3]
+
+
+def _matvec(at: sp.csr_matrix, x: np.ndarray, y: np.ndarray) -> None:
+    """``y = A^T x`` into the preallocated ``y`` (allocation-free kernel
+    when available; the certificate records which path served)."""
+    if _CSR_MATVEC is not None:
+        y[:] = 0.0
+        _CSR_MATVEC(
+            at.shape[0], at.shape[1], at.indptr, at.indices, at.data, x, y
+        )
+    else:  # pragma: no cover - old scipy
+        y[:] = at @ x
+
+
+def _step(
+    at: sp.csr_matrix, rate: float, ws: UniformizationWorkspace
+) -> None:
+    """One Jensen step ``vec <- vec P`` with ``P = I + Q/L``, in place.
+
+    Computed as ``nxt = vec + (Q^T vec) / L`` — ``P`` is never formed —
+    then the two buffers swap roles.
+    """
+    _matvec(at, ws.vec, ws.nxt)
+    np.multiply(ws.nxt, 1.0 / rate, out=ws.nxt)
+    np.add(ws.nxt, ws.vec, out=ws.nxt)
+    ws.vec, ws.nxt = ws.nxt, ws.vec
+
+
+def uniformization_grid(
+    q,
+    initial: np.ndarray,
+    times,
+    rewards=None,
+    tolerance: float = 1e-12,
+    budget_bytes: int | None = None,
+    workspace: UniformizationWorkspace | None = None,
+) -> UniformizationResult:
+    """Transient distributions (and accumulated rewards) over a time grid.
 
     Instead of restarting the Jensen series from ``t = 0`` for each grid
-    point, the recursion is stepped *incrementally*: the distribution at
+    point, the walk is stepped *incrementally*: the distribution at
     ``times[j]`` seeds the Fox–Glynn walk for the segment
-    ``times[j+1] - times[j]``.  Total cost is one uniformization pass of
-    length ``Lambda * times[-1]`` (plus one Poisson window per segment)
-    rather than ``sum_j Lambda * times[j]`` — for a dense curve this is
-    the difference between O(points) and O(points^2) matrix-vector work.
+    ``times[j+1] - times[j]``.  Total cost is one pass of length
+    ``Lambda * times[-1]`` rather than ``sum_j Lambda * times[j]``.  A
+    scalar solve is the one-point grid ``[t]``.
+
+    With ``rewards``, one k-walk per segment serves both series: pmf
+    weights rebuild the distribution at the segment end, and Poisson
+    survival weights integrate the reward across it (the
+    integrated-uniformization identity
+    ``E[Y(t)] = (1/Lambda) sum_k sf(k; Lambda t) pi(0) P^k r``), so
+    ``accumulated[j] = int_0^{times[j]} pi(u) r du``.  The survival
+    series is truncated by :func:`accrual_right_point`.
 
     The grid must be non-decreasing; duplicate entries are served for
-    free (a zero-length segment reuses the previous distribution).  Works
-    on the sparse generator directly, so it has no dense state-count
-    limit.  Returns an array of shape ``(len(times), num_states)``.
+    free.  Works on the sparse generator directly, so it has no dense
+    state-count limit.  ``rows`` has shape ``(len(times), num_states)``;
+    ``accumulated`` is ``None`` without rewards.
     """
-    grid = _validate_time_grid(times)
-    pi = np.asarray(initial, dtype=np.float64).copy()
-    out = np.empty((grid.size, pi.size))
-    p = None
-    rate = None
-    scaled = np.empty_like(pi)  # workspace reused across segments
-    prev = 0.0
-    for j, t in enumerate(grid):
-        dt = float(t) - prev
-        if dt > 0.0:
-            if p is None:
-                p, rate = uniformize(q)
-            window = fox_glynn_weights(rate * dt, tolerance=tolerance)
-            _check_window_bound(window.right)
-            vec = pi
-            acc = np.zeros_like(pi)
-            for k in range(window.right + 1):
-                if k >= window.left:
-                    np.multiply(window.weights[k - window.left], vec, out=scaled)
-                    acc += scaled
-                if k < window.right:
-                    vec = vec @ p
-            mass = window.total_mass
-            if mass > 0:
-                acc /= mass
-            pi = acc
-        out[j] = pi
-        prev = float(t)
-    return out
-
-
-def _accumulated_uniformization_walk(
-    q,
-    initial: np.ndarray,
-    rewards: np.ndarray,
-    grid: np.ndarray,
-    tolerance: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared incremental walk: accumulated rewards plus ``pi`` rows."""
-    pi = np.asarray(initial, dtype=np.float64).copy()
-    r = np.asarray(rewards, dtype=np.float64)
-    totals = np.empty(grid.size)
-    rows = np.empty((grid.size, pi.size))
-    p = None
-    rate = None
-    total = 0.0
-    prev = 0.0
-    for j, t in enumerate(grid):
-        dt = float(t) - prev
-        if dt > 0.0:
-            if p is None:
-                p, rate = uniformize(q)
-            mean = rate * dt
-            dist = stats.poisson(mean)
-            sf_right = accrual_right_point(mean, tolerance)
-            window = fox_glynn_weights(mean, tolerance=tolerance)
-            right = max(sf_right, window.right)
-            _check_window_bound(right)
-            vec = pi
-            acc = np.zeros_like(pi)
-            segment = 0.0
-            # One k-walk serves both series: pmf weights rebuild pi at the
-            # segment end, sf weights integrate the reward across it.
-            for k in range(right + 1):
-                if window.left <= k <= window.right:
-                    acc += window.weights[k - window.left] * vec
-                if k <= sf_right:
-                    segment += float(dist.sf(k)) * float(vec @ r)
-                if k < right:
-                    vec = vec @ p
-            mass = window.total_mass
-            if mass > 0:
-                acc /= mass
-            pi = acc
-            total += segment / rate
-        totals[j] = total
-        rows[j] = pi
-        prev = float(t)
-    return totals, rows
-
-
-def accumulated_by_uniformization_grid(
-    q,
-    initial: np.ndarray,
-    rewards: np.ndarray,
-    times,
-    tolerance: float = 1e-12,
-) -> np.ndarray:
-    """Accumulated rewards ``int_0^{times[j]} pi(u) r du`` in one pass.
-
-    Shares a single incremental uniformization walk across the grid: each
-    segment ``[times[j], times[j+1]]`` applies the integrated-
-    uniformization identity (Poisson survival weights) starting from the
-    distribution carried over the previous segments, and the per-segment
-    integrals telescope into the running total.  Grid rules match
-    :func:`transient_by_uniformization_grid`.  Returns an array of shape
-    ``(len(times),)``.
-    """
-    grid = _validate_time_grid(times)
-    totals, _rows = _accumulated_uniformization_walk(
-        q, initial, rewards, grid, tolerance
-    )
-    return totals
-
-
-def accumulated_by_uniformization(
-    q,
-    initial: np.ndarray,
-    rewards: np.ndarray,
-    t: float,
-    tolerance: float = 1e-12,
-) -> float:
-    """Expected reward accumulated over ``[0, t]``: ``int_0^t pi(u) r du``.
-
-    Uses the standard integrated-uniformization identity
-
-        E[Y(t)] = (1/Lambda) * sum_{k>=0} Pois_sf(k; Lambda t) * pi(0) P^k r
-
-    where ``Pois_sf(k; m) = P(N > k)`` for ``N ~ Poisson(m)``.  The
-    truncation point is chosen by :func:`accrual_right_point`, so the
-    neglected accrual tail is certified below
-    ``tolerance * max|r| * max(t, 1 / Lambda)`` — not merely "the first
-    neglected term is small".
-    """
-    if t < 0:
-        raise CTMCError(f"time must be non-negative, got {t}")
-    if t == 0.0:
-        return 0.0
+    q = validate_generator(as_csr(q))
+    n = q.shape[0]
     pi0 = np.asarray(initial, dtype=np.float64)
-    r = np.asarray(rewards, dtype=np.float64)
-    p, rate = uniformize(q)
-    mean = rate * t
-    dist = stats.poisson(mean)
-    right = accrual_right_point(mean, tolerance)
-    _check_window_bound(right)
-    vec = pi0.copy()
+    r = None if rewards is None else np.ascontiguousarray(rewards, np.float64)
+    grid, rate, segments, certificate = _plan(
+        q, pi0, r, times, tolerance, budget_bytes
+    )
+    if workspace is None:
+        workspace = UniformizationWorkspace(n)
+    elif workspace.num_states != n:
+        raise CTMCError(
+            f"workspace sized for {workspace.num_states} states, chain "
+            f"has {n}"
+        )
+    ws = workspace
+    at = q.T.tocsr()
+
+    rows = np.empty((grid.size, n))
+    totals = None if r is None else np.empty(grid.size)
+    ws.vec[:] = pi0
     total = 0.0
-    for k in range(right + 1):
-        total += float(dist.sf(k)) * float(vec @ r)
-        if k < right:
-            vec = vec @ p
-    return total / rate
+    for j, seg in enumerate(segments):
+        if seg is not None:
+            window = seg.window
+            ws.acc[:] = 0.0
+            segment = 0.0
+            for k in range(seg.right + 1):
+                if window.left <= k <= window.right:
+                    np.multiply(
+                        window.weights[k - window.left],
+                        ws.vec,
+                        out=ws.scaled,
+                    )
+                    np.add(ws.acc, ws.scaled, out=ws.acc)
+                if k < seg.sf_weights.size:
+                    segment += float(seg.sf_weights[k]) * float(ws.vec @ r)
+                if k < seg.right:
+                    _step(at, rate, ws)
+            mass = window.total_mass
+            if mass > 0:
+                np.multiply(ws.acc, 1.0 / mass, out=ws.acc)
+            ws.vec[:] = ws.acc
+            total += segment / rate
+        rows[j] = ws.vec
+        if totals is not None:
+            totals[j] = total
+    return UniformizationResult(
+        rows=rows, accumulated=totals, certificate=certificate
+    )

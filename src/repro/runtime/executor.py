@@ -141,9 +141,9 @@ def _chunk_length(group_size: int, jobs: int, chunk_size: int | None) -> int:
     return max(1, math.ceil(group_size / (2 * jobs)))
 
 
-#: Canonical budget reader — shared with the streaming solver path so a
+#: Canonical budget reader — shared with the uniformization walk so a
 #: single ``REPRO_MEMORY_BUDGET_MB`` declaration governs chunk sizing
-#: here *and* workspace admission in :mod:`repro.ctmc.streaming`.
+#: here *and* workspace admission in :mod:`repro.ctmc.uniformization`.
 memory_budget_bytes = config.memory_budget_bytes
 
 

@@ -270,7 +270,11 @@ class PerformabilityService:
         self._active_requests = 0
         self._idle = asyncio.Event()
         self._stop = asyncio.Event()
+        # The running loop while serve() runs, else None.  Guarded by
+        # _loop_lock so request_stop never schedules onto a loop that
+        # serve() has already left (asyncio.run closes it right after).
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._loop_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Request validation / canonicalization
@@ -893,10 +897,10 @@ class PerformabilityService:
         self.warm_seconds = time.perf_counter() - start
 
     def request_stop(self) -> None:
-        """Begin graceful shutdown (thread-safe)."""
-        if self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._stop.set)
+        """Begin graceful shutdown (thread-safe; a no-op once stopped)."""
+        with self._loop_lock:
+            if self._loop is not None:
+                self._loop.call_soon_threadsafe(self._stop.set)
 
     async def serve(self, on_ready=None) -> None:
         """Run the server until :meth:`request_stop` (or SIGTERM/SIGINT).
@@ -906,25 +910,29 @@ class PerformabilityService:
         hook :func:`start_in_thread` and the load generator use to wait
         for readiness.
         """
-        self._loop = asyncio.get_running_loop()
-        self._idle.set()
-        if self.config.warm:
-            await self._loop.run_in_executor(self.executor, self._warm)
-        server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self.port = server.sockets[0].getsockname()[1]
-
+        loop = asyncio.get_running_loop()
+        with self._loop_lock:
+            self._loop = loop
         installed_signals = []
-        if threading.current_thread() is threading.main_thread():
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    self._loop.add_signal_handler(signum, self._stop.set)
-                    installed_signals.append(signum)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass
-
         try:
+            self._idle.set()
+            if self.config.warm:
+                await loop.run_in_executor(self.executor, self._warm)
+            server = await asyncio.start_server(
+                self._handle_connection,
+                host=self.config.host,
+                port=self.config.port,
+            )
+            self.port = server.sockets[0].getsockname()[1]
+
+            if threading.current_thread() is threading.main_thread():
+                for signum in (signal.SIGTERM, signal.SIGINT):
+                    try:
+                        loop.add_signal_handler(signum, self._stop.set)
+                        installed_signals.append(signum)
+                    except (NotImplementedError, RuntimeError, ValueError):
+                        pass
+
             if on_ready is not None:
                 on_ready(self)
             await self._stop.wait()
@@ -943,7 +951,11 @@ class PerformabilityService:
             await server.wait_closed()
         finally:
             for signum in installed_signals:
-                self._loop.remove_signal_handler(signum)
+                loop.remove_signal_handler(signum)
+            # From here on request_stop is a no-op: asyncio.run closes
+            # this loop as soon as serve() returns.
+            with self._loop_lock:
+                self._loop = None
             self.synth_executor.shutdown(wait=True, cancel_futures=True)
             self.executor.shutdown(wait=True, cancel_futures=True)
 

@@ -46,7 +46,6 @@ class TestBackends:
     def test_methods_tuple(self):
         assert set(ACCUMULATED_METHODS) == {
             "uniformization",
-            "streaming",
             "augmented-expm",
             "augmented-krylov",
             "quadrature",

@@ -14,7 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctmc.accumulated import accumulated_grid, accumulated_reward
+from repro.ctmc.accumulated import (
+    accumulated_grid,
+    accumulated_reward,
+    transient_accumulated_grid,
+)
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.transient import (
@@ -110,7 +114,6 @@ class TestTransientGridMatchesScalar:
         assert set(TRANSIENT_GRID_METHODS) == {
             "auto",
             "uniformization",
-            "streaming",
             "dense-expm",
             "spectral",
             "propagator",
@@ -145,6 +148,23 @@ class TestGridIndependence:
         for row, t in zip(rows, grid):
             scalar = transient_distribution(chain, float(t), method="spectral")
             np.testing.assert_array_equal(row, scalar)
+
+    @given(chain=chains(), t=st.floats(0.0, 20.0))
+    @settings(max_examples=30, deadline=None)
+    def test_uniformization_scalar_matches_one_point_grid_bitwise(
+        self, chain, t
+    ):
+        # FleetSolver.curve solves each phi on its own and the runtime
+        # caches per point, so a scalar solve must be the one-point grid.
+        scalar = transient_distribution(chain, t, method="uniformization")
+        grid = transient_grid(chain, [t], method="uniformization")[0]
+        np.testing.assert_array_equal(scalar, grid)
+        rewards = np.linspace(-1.0, 1.0, chain.num_states)
+        value = accumulated_reward(chain, rewards, t, method="uniformization")
+        _rows, fused = transient_accumulated_grid(
+            chain, rewards, [t], method="uniformization"
+        )
+        assert value == fused[0]
 
 
 class TestSpectralBackend:

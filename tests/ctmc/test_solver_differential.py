@@ -1,11 +1,12 @@
 """Cross-solver differential harness.
 
-Pits the streaming bounded-truncation uniformization path against the
-other transient backends — Krylov ``expm_multiply``, dense ``expm``,
-spectral decomposition, and the plain uniformization walk — on seeded
-randomized chains and small MDCD fleets, asserting pairwise agreement
-within the streaming path's *certified* truncation bound plus a small
-cross-backend slack.
+Pits the bounded-truncation uniformization walk
+(:func:`repro.ctmc.uniformization.uniformization_grid`) against the
+other transient backends — ``expm_multiply`` (labelled ``krylov``),
+dense ``expm`` and spectral decomposition — on seeded randomized chains
+and small MDCD fleets, asserting pairwise agreement within the walk's
+*certified* truncation bound plus a small cross-backend slack.  The
+test names keep the walk's historical "streaming" label.
 
 The harness is the safety net for the 1e6+-state tier: at scale only
 the sparse backends run, so any disagreement between them and the dense
@@ -24,12 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ctmc import config
-from repro.ctmc.streaming import streaming_accumulated_grid, streaming_transient_grid
 from repro.ctmc.transient import transient_distribution, transient_grid
+from repro.ctmc.uniformization import uniformization_grid
 from tests.conftest import make_random_chain, make_random_rewards, make_small_fleet
 
-#: Cross-backend slack on top of the streaming certificate: dense expm,
+#: Cross-backend slack on top of the walk's certificate: dense expm,
 #: Krylov, and spectral each carry their own (uncertified) rounding, so
 #: exact agreement at the certificate alone is not owed.
 BACKEND_SLACK = 1e-9
@@ -55,18 +55,22 @@ def _assert_rows_close(rows, reference, bound, label):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_streaming_vs_all_backends_random_chains(seed, grid_name):
-    """Streaming vs krylov vs dense expm vs spectral on random chains."""
+    """Uniformization vs krylov vs dense expm vs spectral on random
+    chains; the dispatcher's uniformization branch is the walk itself."""
     chain = make_random_chain(num_states=9, seed=seed, rate_scale=2.0)
     times = GRIDS[grid_name]
     reference = _dense_reference(chain, times)
 
-    result = streaming_transient_grid(
+    result = uniformization_grid(
         chain.generator, chain.initial_distribution, times
     )
     bound = result.certificate.distribution_bound + BACKEND_SLACK
-    _assert_rows_close(result.rows, reference, bound, "streaming")
+    _assert_rows_close(result.rows, reference, bound, "uniformization")
+    assert np.array_equal(
+        transient_grid(chain, times, method="uniformization"), result.rows
+    )
 
-    for method in ("krylov", "uniformization", "spectral"):
+    for method in ("krylov", "spectral"):
         rows = transient_grid(chain, times, method=method)
         _assert_rows_close(rows, reference, bound, method)
 
@@ -86,14 +90,13 @@ def test_streaming_vs_backends_small_fleets(seed, heterogeneous):
     times = np.array([0.0, 0.3, 1.1, 2.7])
     reference = _dense_reference(flat, times)
 
-    result = streaming_transient_grid(
+    result = uniformization_grid(
         flat.generator, flat.initial_distribution, times
     )
     bound = result.certificate.distribution_bound + BACKEND_SLACK
-    _assert_rows_close(result.rows, reference, bound, "streaming")
-    for method in ("krylov", "uniformization"):
-        rows = transient_grid(flat, times, method=method)
-        _assert_rows_close(rows, reference, bound, method)
+    _assert_rows_close(result.rows, reference, bound, "uniformization")
+    rows = transient_grid(flat, times, method="krylov")
+    _assert_rows_close(rows, reference, bound, "krylov")
 
     flat_curve = reference @ rewards
     lumped_curve = transient_grid(lumped, times, method="uniformization") @ (
@@ -104,7 +107,7 @@ def test_streaming_vs_backends_small_fleets(seed, heterogeneous):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_streaming_accumulated_vs_quadrature(seed):
-    """Accumulated rewards: streaming vs the plain accumulated walk.
+    """Accumulated rewards: the walk vs augmented expm and quadrature.
 
     The dense reference integrates the transient curve with fine-grained
     trapezoids — an independent discretisation, so agreement within the
@@ -116,12 +119,12 @@ def test_streaming_accumulated_vs_quadrature(seed):
     rewards = make_random_rewards(7, seed)
     times = np.array([0.5, 1.5, 3.0])
 
-    result = streaming_accumulated_grid(
-        chain.generator, chain.initial_distribution, rewards, times
+    result = uniformization_grid(
+        chain.generator, chain.initial_distribution, times, rewards=rewards
     )
-    plain = accumulated_grid(chain, rewards, times, method="uniformization")
+    augmented = accumulated_grid(chain, rewards, times, method="augmented-expm")
     bound = result.certificate.accrual_bound + BACKEND_SLACK
-    assert np.max(np.abs(result.accumulated - plain)) <= bound
+    assert np.max(np.abs(result.accumulated - augmented)) <= bound
 
     fine = np.linspace(0.0, 3.0, 3001)
     curve = _dense_reference(chain, fine) @ rewards
@@ -144,7 +147,7 @@ def test_streaming_accumulated_vs_quadrature(seed):
 def test_property_streaming_krylov_dense_agree(
     num_states, seed, rate_scale, uniform
 ):
-    """Streaming, Krylov, and dense expm agree on any seeded chain,
+    """Uniformization, Krylov, and dense expm agree on any seeded chain,
     on uniform and irregular grids alike."""
     chain = make_random_chain(num_states, seed, rate_scale=rate_scale)
     if uniform:
@@ -153,11 +156,11 @@ def test_property_streaming_krylov_dense_agree(
         rng = np.random.default_rng(seed)
         times = np.sort(rng.uniform(0.0, 2.0, 5))
     reference = _dense_reference(chain, times)
-    result = streaming_transient_grid(
+    result = uniformization_grid(
         chain.generator, chain.initial_distribution, times
     )
     bound = result.certificate.distribution_bound + BACKEND_SLACK
-    _assert_rows_close(result.rows, reference, bound, "streaming")
+    _assert_rows_close(result.rows, reference, bound, "uniformization")
     _assert_rows_close(
         transient_grid(chain, times, method="krylov"),
         reference,
@@ -189,25 +192,3 @@ def test_property_stiff_chains_near_dispatch_cutoff(seed, threshold):
         else:
             os.environ["REPRO_AUTO_STIFFNESS_THRESHOLD"] = previous
     assert np.max(np.abs(routed - reference)) < 1e-9
-
-
-@settings(max_examples=10)
-@given(seed=st.integers(min_value=0, max_value=2**16))
-def test_property_streaming_threshold_cutoff_consistent(seed):
-    """Forcing the streaming cutoff to 1 (every auto-dispatched
-    non-stiff grid takes the streaming path) changes nothing but the
-    backend label."""
-    chain = make_random_chain(num_states=5, seed=seed, rate_scale=0.5)
-    times = np.array([0.2, 0.9, 1.7])
-    reference = transient_grid(chain, times, method="uniformization")
-    previous = os.environ.get("REPRO_STREAMING_STATE_THRESHOLD")
-    try:
-        os.environ["REPRO_STREAMING_STATE_THRESHOLD"] = "1"
-        assert config.limits().streaming_state_threshold == 1
-        routed = transient_grid(chain, times, method="auto")
-    finally:
-        if previous is None:
-            del os.environ["REPRO_STREAMING_STATE_THRESHOLD"]
-        else:
-            os.environ["REPRO_STREAMING_STATE_THRESHOLD"] = previous
-    assert np.max(np.abs(routed - reference)) < 1e-10

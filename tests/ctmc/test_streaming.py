@@ -1,9 +1,11 @@
-"""Streaming uniformization: workspace, budget, and certificate tests.
+"""The uniformization walk's workspace, budget, and certificate tests.
 
-The memory-budget regression suite: admission must refuse solves that
-do not fit ``REPRO_MEMORY_BUDGET_MB``, admitted solves must stay inside
-their declared workspace, and — the invariant production relies on —
-the budget must never touch the arithmetic: results are bitwise
+The memory-budget regression suite for
+:func:`repro.ctmc.uniformization.uniformization_grid`, the walk every
+uniformization solve streams through: admission must refuse solves
+that do not fit ``REPRO_MEMORY_BUDGET_MB``, admitted solves must stay
+inside their declared workspace, and — the invariant production relies
+on — the budget must never touch the arithmetic: results are bitwise
 identical across every admitting budget value.
 """
 
@@ -14,15 +16,15 @@ import pytest
 
 from repro.ctmc import config
 from repro.ctmc.errors import CTMCError
-from repro.ctmc.streaming import (
+from repro.ctmc.accumulated import accumulated_reward, transient_accumulated_grid
+from repro.ctmc.transient import transient_distribution, transient_grid
+from repro.ctmc.uniformization import (
     ALLOCATION_FREE_KERNEL,
-    StreamingWorkspace,
+    UniformizationWorkspace,
     required_bytes,
-    streaming_accumulated_grid,
-    streaming_transient_grid,
+    truncation_certificate,
+    uniformization_grid,
 )
-from repro.ctmc.transient import transient_grid
-from repro.ctmc.uniformization import transient_by_uniformization_grid
 from repro.gsu.fleet import FleetParameters, FleetSolver
 from tests.conftest import make_random_chain, make_random_rewards
 
@@ -34,18 +36,8 @@ def chain():
     return make_random_chain(num_states=8, seed=11)
 
 
-def test_matches_plain_uniformization_grid(chain):
-    plain = transient_by_uniformization_grid(
-        chain.generator, chain.initial_distribution, TIMES
-    )
-    result = streaming_transient_grid(
-        chain.generator, chain.initial_distribution, TIMES
-    )
-    assert np.max(np.abs(result.rows - plain)) < 1e-13
-
-
 def test_certificate_populated(chain):
-    result = streaming_transient_grid(
+    result = uniformization_grid(
         chain.generator, chain.initial_distribution, TIMES
     )
     cert = result.certificate
@@ -58,15 +50,59 @@ def test_certificate_populated(chain):
 
 
 def test_allocation_free_kernel_available():
-    # The container's scipy ships csr_matvec; if this ever regresses the
-    # streaming tier silently falls back to per-step allocation, which
-    # the benchmark would misreport as allocation-free economics.
+    # The pinned scipy ships csr_matvec; if this ever regresses the walk
+    # silently falls back to per-step allocation, which the benchmark
+    # would misreport as allocation-free economics.
     assert ALLOCATION_FREE_KERNEL
+
+
+def test_truncation_certificate_matches_walk(chain):
+    rewards = make_random_rewards(chain.num_states, seed=11)
+    for r in (None, rewards):
+        walked = uniformization_grid(
+            chain.generator, chain.initial_distribution, TIMES, rewards=r
+        ).certificate
+        planned = truncation_certificate(
+            chain.generator, chain.initial_distribution, TIMES, rewards=r
+        )
+        assert planned == walked
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda c: transient_distribution(c, 1.0, method="uniformization"),
+        lambda c: transient_grid(c, TIMES, method="uniformization"),
+        lambda c: accumulated_reward(
+            c, np.ones(c.num_states), 1.0, method="uniformization"
+        ),
+        lambda c: transient_accumulated_grid(
+            c, np.ones(c.num_states), TIMES, method="uniformization"
+        ),
+    ],
+    ids=["scalar", "grid", "accumulated", "fused"],
+)
+def test_every_uniformization_solve_is_budget_admitted(
+    chain, solve, monkeypatch
+):
+    monkeypatch.setenv("REPRO_MEMORY_BUDGET_MB", "0.0001")  # ~100 bytes
+    with pytest.raises(CTMCError, match="memory budget"):
+        solve(chain)
+
+
+def test_window_bound_refuses_before_walking(chain, monkeypatch):
+    monkeypatch.setenv("REPRO_MAX_UNIFORMIZATION_TERMS", "5")
+    with pytest.raises(CTMCError, match="MAX_UNIFORMIZATION_TERMS"):
+        truncation_certificate(
+            chain.generator, chain.initial_distribution, TIMES
+        )
+    with pytest.raises(CTMCError, match="MAX_UNIFORMIZATION_TERMS"):
+        transient_distribution(chain, 2.5, method="uniformization")
 
 
 def test_budget_admission_refuses_undersized_budget(chain):
     with pytest.raises(CTMCError, match="memory budget"):
-        streaming_transient_grid(
+        uniformization_grid(
             chain.generator,
             chain.initial_distribution,
             TIMES,
@@ -77,13 +113,13 @@ def test_budget_admission_refuses_undersized_budget(chain):
 def test_budget_admission_env_var(chain, monkeypatch):
     monkeypatch.setenv("REPRO_MEMORY_BUDGET_MB", "0.0001")  # ~100 bytes
     with pytest.raises(CTMCError, match="REPRO_MEMORY_BUDGET_MB"):
-        streaming_transient_grid(
+        uniformization_grid(
             chain.generator, chain.initial_distribution, TIMES
         )
 
 
 def test_required_bytes_matches_admitted_workspace(chain):
-    result = streaming_transient_grid(
+    result = uniformization_grid(
         chain.generator, chain.initial_distribution, TIMES
     )
     expected = required_bytes(
@@ -91,14 +127,14 @@ def test_required_bytes_matches_admitted_workspace(chain):
     )
     assert result.certificate.workspace_bytes == expected
     # Admission at exactly the requirement succeeds; one byte less fails.
-    streaming_transient_grid(
+    uniformization_grid(
         chain.generator,
         chain.initial_distribution,
         TIMES,
         budget_bytes=expected,
     )
     with pytest.raises(CTMCError):
-        streaming_transient_grid(
+        uniformization_grid(
             chain.generator,
             chain.initial_distribution,
             TIMES,
@@ -107,11 +143,11 @@ def test_required_bytes_matches_admitted_workspace(chain):
 
 
 def test_workspace_reuse_across_calls(chain):
-    ws = StreamingWorkspace(chain.num_states)
-    first = streaming_transient_grid(
+    ws = UniformizationWorkspace(chain.num_states)
+    first = uniformization_grid(
         chain.generator, chain.initial_distribution, TIMES, workspace=ws
     )
-    second = streaming_transient_grid(
+    second = uniformization_grid(
         chain.generator, chain.initial_distribution, TIMES, workspace=ws
     )
     assert np.array_equal(first.rows, second.rows)
@@ -119,11 +155,11 @@ def test_workspace_reuse_across_calls(chain):
 
 def test_workspace_size_mismatch_raises(chain):
     with pytest.raises(CTMCError, match="workspace sized for"):
-        streaming_transient_grid(
+        uniformization_grid(
             chain.generator,
             chain.initial_distribution,
             TIMES,
-            workspace=StreamingWorkspace(chain.num_states + 1),
+            workspace=UniformizationWorkspace(chain.num_states + 1),
         )
 
 
@@ -155,16 +191,16 @@ def test_results_bitwise_identical_across_budgets():
     """The budget admits or refuses — it never changes the numbers."""
     chain, rewards = _fleet_case()
     times = np.array([0.1, 0.5, 2.0])
-    baseline = streaming_accumulated_grid(
-        chain.generator, chain.initial_distribution, rewards, times
+    baseline = uniformization_grid(
+        chain.generator, chain.initial_distribution, times, rewards=rewards
     )
     need = baseline.certificate.workspace_bytes
     for budget in (need, need * 2, need * 1000, None):
-        result = streaming_accumulated_grid(
+        result = uniformization_grid(
             chain.generator,
             chain.initial_distribution,
-            rewards,
             times,
+            rewards=rewards,
             budget_bytes=budget,
         )
         assert np.array_equal(result.rows, baseline.rows)
@@ -175,11 +211,11 @@ def test_results_bitwise_identical_across_env_budgets(monkeypatch):
     chain, rewards = _fleet_case()
     times = np.array([0.25, 1.0])
     monkeypatch.setenv("REPRO_MEMORY_BUDGET_MB", "64")
-    small = streaming_transient_grid(
+    small = uniformization_grid(
         chain.generator, chain.initial_distribution, times
     )
     monkeypatch.setenv("REPRO_MEMORY_BUDGET_MB", "4096")
-    large = streaming_transient_grid(
+    large = uniformization_grid(
         chain.generator, chain.initial_distribution, times
     )
     assert np.array_equal(small.rows, large.rows)
@@ -187,13 +223,13 @@ def test_results_bitwise_identical_across_env_budgets(monkeypatch):
 
 
 def test_fleet_streaming_matches_lumped_reference():
-    """4-process fleet: streaming curve vs the exact lumped quotient,
+    """4-process fleet: uniformization curve vs the exact lumped quotient,
     within the certificate (plus reference slack)."""
     params = FleetParameters(n_processes=4)
     flat = FleetSolver(params, mode="flat")
     lumped = FleetSolver(params, mode="lumped")
     times = np.array([0.1, 0.5, 2.0])
-    result = streaming_transient_grid(
+    result = uniformization_grid(
         flat.chain().generator,
         flat.chain().initial_distribution,
         times,
@@ -206,22 +242,22 @@ def test_fleet_streaming_matches_lumped_reference():
 
 def test_accumulated_certificate_bounds_error(chain):
     rewards = make_random_rewards(chain.num_states, seed=11)
-    result = streaming_accumulated_grid(
-        chain.generator, chain.initial_distribution, rewards, TIMES
+    result = uniformization_grid(
+        chain.generator, chain.initial_distribution, TIMES, rewards=rewards
     )
     cert = result.certificate
     assert cert.accrual_bound > 0.0
     from repro.ctmc.accumulated import accumulated_grid
 
-    plain = accumulated_grid(chain, rewards, TIMES, method="uniformization")
-    assert np.max(np.abs(result.accumulated - plain)) <= (
+    reference = accumulated_grid(chain, rewards, TIMES, method="augmented-expm")
+    assert np.max(np.abs(result.accumulated - reference)) <= (
         cert.accrual_bound + 1e-12
     )
 
 
 def test_time_grid_must_be_sorted(chain):
     with pytest.raises(CTMCError):
-        streaming_transient_grid(
+        uniformization_grid(
             chain.generator,
             chain.initial_distribution,
             np.array([1.0, 0.5]),

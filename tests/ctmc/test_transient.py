@@ -63,7 +63,6 @@ class TestValidation:
     def test_methods_tuple_is_exhaustive(self):
         assert set(TRANSIENT_METHODS) == {
             "uniformization",
-            "streaming",
             "expm",
             "dense-expm",
             "spectral",

@@ -1,4 +1,9 @@
-"""Tests for uniformization and Fox-Glynn weights."""
+"""Tests for uniformization and Fox-Glynn weights.
+
+Scalar solves go through the one Jensen walk as one-point grids, the
+way :func:`repro.ctmc.transient.transient_distribution` and
+:func:`repro.ctmc.accumulated.accumulated_reward` call it.
+"""
 
 import numpy as np
 import pytest
@@ -7,11 +12,21 @@ from scipy import stats
 from repro.ctmc.chain import CTMC
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.uniformization import (
-    accumulated_by_uniformization,
     fox_glynn_weights,
-    transient_by_uniformization,
+    uniformization_grid,
     uniformize,
 )
+
+
+def one_point_transient(q, initial, t, **kwargs):
+    """``pi(t)`` from the walk, as a one-point grid."""
+    return uniformization_grid(q, initial, [t], **kwargs).rows[0]
+
+
+def one_point_accumulated(q, initial, rewards, t, **kwargs):
+    """``int_0^t pi(u) r du`` from the walk, as a one-point grid."""
+    result = uniformization_grid(q, initial, [t], rewards=rewards, **kwargs)
+    return float(result.accumulated[0])
 
 
 class TestFoxGlynn:
@@ -75,13 +90,13 @@ class TestTransient:
     def test_matches_closed_form_survival(self):
         chain = CTMC.two_state_failure(0.5)
         for t in (0.1, 1.0, 5.0):
-            pi = transient_by_uniformization(
+            pi = one_point_transient(
                 chain.generator, chain.initial_distribution, t
             )
             assert pi[0] == pytest.approx(np.exp(-0.5 * t), rel=1e-9)
 
     def test_time_zero_returns_initial(self, birth_death_chain):
-        pi = transient_by_uniformization(
+        pi = one_point_transient(
             birth_death_chain.generator,
             birth_death_chain.initial_distribution,
             0.0,
@@ -90,7 +105,7 @@ class TestTransient:
 
     def test_negative_time_rejected(self, birth_death_chain):
         with pytest.raises(CTMCError):
-            transient_by_uniformization(
+            one_point_transient(
                 birth_death_chain.generator,
                 birth_death_chain.initial_distribution,
                 -1.0,
@@ -99,7 +114,7 @@ class TestTransient:
     def test_long_horizon_converges_to_stationary(
         self, birth_death_chain, mm13_stationary
     ):
-        pi = transient_by_uniformization(
+        pi = one_point_transient(
             birth_death_chain.generator,
             birth_death_chain.initial_distribution,
             200.0,
@@ -107,7 +122,7 @@ class TestTransient:
         np.testing.assert_allclose(pi, mm13_stationary, atol=1e-8)
 
     def test_distribution_stays_normalised(self, birth_death_chain):
-        pi = transient_by_uniformization(
+        pi = one_point_transient(
             birth_death_chain.generator,
             birth_death_chain.initial_distribution,
             3.7,
@@ -123,14 +138,14 @@ class TestAccumulated:
         chain = CTMC.two_state_failure(mu)
         rewards = np.array([1.0, 0.0])
         for t in (0.5, 2.0, 10.0):
-            value = accumulated_by_uniformization(
+            value = one_point_accumulated(
                 chain.generator, chain.initial_distribution, rewards, t
             )
             assert value == pytest.approx((1 - np.exp(-mu * t)) / mu, rel=1e-8)
 
     def test_constant_reward_accumulates_time(self, birth_death_chain):
         rewards = np.ones(4)
-        value = accumulated_by_uniformization(
+        value = one_point_accumulated(
             birth_death_chain.generator,
             birth_death_chain.initial_distribution,
             rewards,
@@ -139,7 +154,7 @@ class TestAccumulated:
         assert value == pytest.approx(7.3, rel=1e-9)
 
     def test_zero_horizon(self, birth_death_chain):
-        value = accumulated_by_uniformization(
+        value = one_point_accumulated(
             birth_death_chain.generator,
             birth_death_chain.initial_distribution,
             np.ones(4),
@@ -151,7 +166,7 @@ class TestAccumulated:
         chain = CTMC.two_state_failure(1.0)
         rewards = np.array([0.0, -2.0])
         t = 1.0
-        value = accumulated_by_uniformization(
+        value = one_point_accumulated(
             chain.generator, chain.initial_distribution, rewards, t
         )
         # E[time in down] = t - (1 - e^-t); reward -2 per unit.
@@ -217,7 +232,7 @@ class TestTruncationAccounting:
         chain = CTMC.from_rates(3, {(0, 1): a, (1, 2): b})
         rewards = np.array([1.0, 0.0, 0.0])
         for t in (0.1, 1.0, 4.0):
-            value = accumulated_by_uniformization(
+            value = one_point_accumulated(
                 chain.generator,
                 chain.initial_distribution,
                 rewards,
@@ -228,36 +243,32 @@ class TestTruncationAccounting:
             assert value == pytest.approx(closed, abs=5e-13)
 
     def test_accumulated_grid_matches_closed_form(self):
-        from repro.ctmc.uniformization import accumulated_by_uniformization_grid
-
         a, b = 2.0, 5.0
         chain = CTMC.from_rates(3, {(0, 1): a, (1, 2): b})
         rewards = np.array([1.0, 0.0, 0.0])
         grid = np.array([0.0, 0.25, 1.5, 3.0])
-        values = accumulated_by_uniformization_grid(
+        values = uniformization_grid(
             chain.generator,
             chain.initial_distribution,
-            rewards,
             grid,
+            rewards=rewards,
             tolerance=1e-13,
-        )
+        ).accumulated
         closed = (1.0 - np.exp(-a * grid)) / a
         np.testing.assert_allclose(values, closed, atol=5e-13)
 
     def test_streaming_accrual_certificate_honest_on_hypoexponential(self):
-        """The streaming certificate's accrual bound must dominate the
-        true error against the closed form."""
-        from repro.ctmc.streaming import streaming_accumulated_grid
-
+        """The walk certificate's accrual bound must dominate the true
+        error against the closed form."""
         a, b = 4.0, 1.0
         chain = CTMC.from_rates(3, {(0, 1): a, (1, 2): b})
         rewards = np.array([1.0, 0.0, 0.0])
         grid = np.array([0.5, 2.0])
-        result = streaming_accumulated_grid(
+        result = uniformization_grid(
             chain.generator,
             chain.initial_distribution,
-            rewards,
             grid,
+            rewards=rewards,
             tolerance=1e-10,
         )
         closed = (1.0 - np.exp(-a * grid)) / a

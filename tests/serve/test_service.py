@@ -234,6 +234,16 @@ class TestShutdown:
         handle.stop()
         assert not handle.thread.is_alive()
 
+    def test_stop_after_loop_closed_is_a_no_op(self):
+        """A stop request that arrives after the server has already
+        drained and its event loop has closed must not raise."""
+        handle = start_in_thread(ServeConfig(port=0, warm=False))
+        handle.service.request_stop()
+        time.sleep(1.0)  # let serve() return and asyncio.run close the loop
+        handle.stop()
+        assert not handle.thread.is_alive()
+        handle.service.request_stop()
+
     def test_healthz_reports_draining_while_work_is_refused(self):
         """During a graceful drain, probe endpoints answer while work
         endpoints get 503 — an orchestrator can tell a draining
