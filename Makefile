@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install lint test test-fast test-slow verify-smoke campaign-smoke serve-smoke scaling-smoke scaling-full scaling-slow synth-smoke synth-bench surrogate-smoke surrogate-bench bench examples reports experiments clean
+.PHONY: install lint test test-fast test-slow verify-smoke campaign-smoke serve-smoke scaling-smoke scaling-full scaling-slow sweep-bench synth-smoke synth-bench surrogate-smoke surrogate-bench bench examples reports experiments clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -82,6 +82,15 @@ scaling-full:
 scaling-slow:
 	FLEET_BENCH_PROFILE=slow PYTHONPATH=src:$$PYTHONPATH \
 		$(PYTHON) -m pytest benchmarks/test_fleet_scaling.py -q
+
+# Cold-path speedup gates that `make bench` (--benchmark-only) skips:
+# batched campaign vs evaluate_index point by point (>= 5x) and template
+# re-stamping vs rebuilt models (>= 3x); writes
+# benchmarks/reports/BENCH_sweep.json and BENCH_param_sweep.json.
+sweep-bench:
+	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m pytest -q \
+		benchmarks/test_campaign_scaling.py::test_batched_sweep_speedup \
+		benchmarks/test_param_sweep_scaling.py::test_parametric_campaign_speedup
 
 # Joint-synthesis smoke: a small phi-only optimization on the scaled
 # profile whose analytic quantile/exceedance measures are validated

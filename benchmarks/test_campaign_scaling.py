@@ -12,9 +12,10 @@ Three engineering claims about ``repro.runtime``:
    assertion is skipped honestly on boxes without the cores to show it;
    the determinism and cache claims run everywhere.
 3. **Batched per-curve solves beat point-by-point.**  A cold 50-point
-   single-worker sweep through the batched path (one solver pass per
-   model and reward structure) is at least 5x faster than the
-   point-by-point path, with machine-readable numbers in
+   single-worker campaign (one solver pass per model and reward
+   structure) is at least 5x faster than the per-point reference —
+   ``evaluate_index`` at every phi on a fresh ``ConstituentSolver`` —
+   with machine-readable numbers in
    ``benchmarks/reports/BENCH_sweep.json``.
 """
 
@@ -25,6 +26,7 @@ import pytest
 
 from benchmarks.conftest import publish_report, write_bench_json
 from repro.analysis.tables import format_table
+from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
 from repro.gsu.performability import evaluate_index
 from repro.runtime.cache import ResultCache
@@ -159,12 +161,12 @@ BATCH_BENCH_POINTS = 50
 BATCH_BENCH_SPEEDUP = 5.0
 
 
-def _timed_campaign(spec: CampaignSpec, batch: bool) -> tuple[float, object]:
+def _best_of_three(run) -> tuple[float, object]:
     """Best-of-three cold serial run (solver compile included each time)."""
     best_wall, best = float("inf"), None
     for _ in range(3):
         start = time.perf_counter()
-        result = run_campaign(spec, backend="serial", jobs=1, batch=batch)
+        result = run()
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall, best = wall, result
@@ -182,8 +184,15 @@ def test_batched_sweep_speedup():
         curves=(CurveSpec(label="base", params=PAPER_TABLE3, phis=phis),),
     )
 
-    batched_wall, batched = _timed_campaign(spec, batch=True)
-    per_point_wall, per_point = _timed_campaign(spec, batch=False)
+    batched_wall, batched = _best_of_three(
+        lambda: run_campaign(spec, backend="serial", jobs=1)
+    )
+
+    def per_point_sweep():
+        solver = ConstituentSolver(PAPER_TABLE3)
+        return [evaluate_index(PAPER_TABLE3, phi, solver) for phi in phis]
+
+    per_point_wall, per_point = _best_of_three(per_point_sweep)
     speedup = per_point_wall / batched_wall
 
     payload = {
@@ -215,5 +224,5 @@ def test_batched_sweep_speedup():
     )
     publish_report("BENCH_sweep", report)
 
-    assert batched.sweeps[0].values == per_point.sweeps[0].values
+    assert batched.sweeps[0].values == [e.value for e in per_point]
     assert speedup >= BATCH_BENCH_SPEEDUP

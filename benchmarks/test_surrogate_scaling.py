@@ -402,7 +402,7 @@ def test_synthesis_exact_solve_reduction(fitted, bench):
     )
     problem = SynthesisProblem(params=PAPER_TABLE3, levers=levers)
     config = SynthesisConfig(max_iters=8, starts=1)
-    evaluate_fn = local_evaluate_fn(parametric=True)
+    evaluate_fn = local_evaluate_fn()
 
     fd = run_synthesis(problem, config, evaluate_fn=evaluate_fn)
     surr = run_synthesis(

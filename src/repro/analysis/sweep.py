@@ -110,8 +110,6 @@ def run_sweep(
     jobs: int | None = None,
     backend: str | None = None,
     cache=None,
-    batch: bool | None = None,
-    parametric: bool | None = None,
 ) -> SweepResult:
     """Evaluate one ``Y(phi)`` curve.
 
@@ -133,15 +131,6 @@ def run_sweep(
     jobs / backend / cache:
         Runtime overrides, forwarded to
         :func:`~repro.runtime.campaign.run_campaign`.
-    batch:
-        Use the batched per-curve solver (default) or the point-by-point
-        path (``--no-batch``); ``None`` defers to the runtime config on
-        the campaign path.
-    parametric:
-        Re-stamp compiled state-space templates (default) or rebuild
-        models per parameter set (``--no-parametric``); ``None`` defers
-        to the runtime config on the campaign path.  Ignored when a
-        pre-built ``solver`` is supplied (that solver already chose).
     """
     if not label:
         label = (
@@ -151,9 +140,7 @@ def run_sweep(
     if solver is not None:
         if phis is None:
             phis = default_grid(params.theta, step=step)
-        evaluations = sweep_phi(
-            params, phis, solver=solver, batch=batch if batch is not None else True
-        )
+        evaluations = sweep_phi(params, phis, solver=solver)
         points = tuple(
             SweepPoint(phi=e.phi, y=e.value, evaluation=e) for e in evaluations
         )
@@ -175,12 +162,4 @@ def run_sweep(
             ),
         ),
     )
-    result = run_campaign(
-        spec,
-        backend=backend,
-        jobs=jobs,
-        cache=cache,
-        batch=batch,
-        parametric=parametric,
-    )
-    return result.sweeps[0]
+    return run_campaign(spec, backend=backend, jobs=jobs, cache=cache).sweeps[0]

@@ -22,7 +22,7 @@ Model-bound commands accept the Table 3 parameter overrides
 ``--p-ext``, ``--alpha``, ``--beta``).  Batch commands (``sweep``,
 ``optimal``, ``experiment``, ``campaign``) accept the campaign-runtime
 flags (``--jobs``, ``--backend``, ``--cache-dir``, ``--no-cache``,
-``--run-dir``, ``--no-batch``, ``--no-parametric``).
+``--run-dir``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,12 @@ from repro.gsu.performability import evaluate_index
 from repro.gsu.validation import SCALED_VALIDATION_PARAMS, validate_constituents
 from repro.runtime.campaign import RuntimeConfig, run_campaign, use_config
 from repro.runtime.executor import BACKENDS
-from repro.runtime.spec import FIGURE_CAMPAIGNS, CampaignSpec, figure_campaign
+from repro.runtime.spec import (
+    FIGURE_CAMPAIGNS,
+    CampaignSpec,
+    default_grid,
+    figure_campaign,
+)
 from repro.san.export import graph_to_dict, model_to_dict, model_to_dot
 from repro.san.reachability import explore
 
@@ -141,23 +146,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "--run-dir", default=None, metavar="DIR",
         help="write a run manifest and results under this directory",
     )
-    group.add_argument(
-        "--no-batch", action="store_true",
-        help=(
-            "solve sweep points one by one instead of batching each "
-            "curve through a single solver pass (cross-validation "
-            "escape hatch; slower, same results to well under 1e-10)"
-        ),
-    )
-    group.add_argument(
-        "--no-parametric", action="store_true",
-        help=(
-            "rebuild the four SAN models from scratch for every "
-            "parameter set instead of re-stamping compiled state-space "
-            "templates (cross-validation escape hatch; slower, bitwise-"
-            "identical results)"
-        ),
-    )
 
 
 def _runtime_config_from(args: argparse.Namespace) -> RuntimeConfig:
@@ -172,8 +160,6 @@ def _runtime_config_from(args: argparse.Namespace) -> RuntimeConfig:
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
         artifacts_dir=args.run_dir,
-        batch=not args.no_batch,
-        parametric=not args.no_parametric,
         memory_cache=0 if args.no_cache or memory_cache is None else memory_cache,
     )
 
@@ -770,15 +756,11 @@ def _cmd_fleet(args) -> int:
             print(f"error: bad --phis {args.phis!r}", file=sys.stderr)
             return 2
     elif args.step is not None:
-        if args.step <= 0:
-            print(f"error: --step must be positive, got {args.step}",
-                  file=sys.stderr)
+        try:
+            phis = default_grid(params.theta, step=args.step)
+        except ValueError as exc:
+            print(f"error: --step: {exc}", file=sys.stderr)
             return 2
-        phis, phi = [], 0.0
-        while phi < params.theta:
-            phis.append(phi)
-            phi += args.step
-        phis.append(params.theta)
     else:
         phis = [i * params.theta / 10 for i in range(11)]
 
@@ -887,7 +869,7 @@ def _cmd_synthesize(args) -> int:
         problem,
         synth_config,
         cache=config.make_cache(),
-        evaluate_fn=local_evaluate_fn(parametric=config.parametric),
+        evaluate_fn=local_evaluate_fn(),
         surrogate=surrogate,
     )
 

@@ -157,7 +157,7 @@ class ConstituentSolver:
     space is explored once per model structure and each parameter set is
     a cheap rate re-stamp, bitwise identical to a fresh build.
     ``parametric=False`` forces fresh ``build_ctmc`` compiles — the
-    cross-validation escape hatch behind ``--no-parametric``.
+    reference the template and oracle tests compare re-stamps against.
     """
 
     def __init__(self, params: GSUParameters, parametric: bool = True):

@@ -54,14 +54,6 @@ class RuntimeConfig:
         Where run manifests are written; ``None`` skips artifacts.
     chunk_size:
         Points per dispatched chunk (``None`` = auto-balanced).
-    batch:
-        Solve cache-missing chunks with the batched per-curve solver
-        (default) or point by point (``--no-batch``).
-    parametric:
-        Obtain chunk models by re-stamping compiled state-space
-        templates and dispatch chunks in structure-key order (default),
-        or rebuild every model from scratch (``--no-parametric``).
-        Bitwise-identical results either way.
     memory_cache:
         Entry capacity of an in-memory LRU tier placed in front of the
         on-disk cache (``0`` disables the tier).  With a tier enabled,
@@ -73,8 +65,6 @@ class RuntimeConfig:
     cache_dir: Path | str | None = None
     artifacts_dir: Path | str | None = None
     chunk_size: int | None = None
-    batch: bool = True
-    parametric: bool = True
     memory_cache: int = 0
 
     def make_cache(self) -> ResultCache | TieredResultCache | None:
@@ -211,27 +201,18 @@ def run_campaign(
     artifacts_dir: Path | str | None = None,
     chunk_size: int | None = None,
     evaluate_fn: EvaluateFn | None = None,
-    batch: bool | None = None,
-    parametric: bool | None = None,
 ) -> CampaignResult:
     """Plan, execute, and archive one campaign.
 
     Explicit arguments override the installed :class:`RuntimeConfig`;
     unspecified ones inherit from it.  ``cache`` takes precedence over
     ``cache_dir``; ``no_cache=True`` disables caching regardless of the
-    configuration.  ``batch`` selects the per-curve batched solver for
-    cache misses (config default: on) — results agree with the
-    point-by-point path to well under 1e-10 and cache keys are
-    identical either way.  ``parametric`` selects template re-stamping
-    over per-parameter model rebuilds (config default: on) — results
-    and cache keys are bitwise identical either way.
+    configuration.
     """
     config = get_config()
     backend = backend if backend is not None else config.backend
     jobs = jobs if jobs is not None else config.jobs
     chunk_size = chunk_size if chunk_size is not None else config.chunk_size
-    batch = batch if batch is not None else config.batch
-    parametric = parametric if parametric is not None else config.parametric
     if artifacts_dir is None:
         artifacts_dir = config.artifacts_dir
     if no_cache:
@@ -262,8 +243,6 @@ def run_campaign(
         cache=cache,
         evaluate_fn=evaluate_fn,
         chunk_size=chunk_size,
-        batch=batch,
-        parametric=parametric,
     )
     sweeps = _assemble_sweeps(spec, outcomes)
     wall_seconds = time.perf_counter() - start

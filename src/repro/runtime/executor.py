@@ -30,11 +30,7 @@ from repro.ctmc import config
 from repro.gsu.fleet import FleetParameters, FleetSolver
 from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import GSUParameters
-from repro.gsu.performability import (
-    PerformabilityEvaluation,
-    evaluate_batch,
-    evaluate_index,
-)
+from repro.gsu.performability import PerformabilityEvaluation, evaluate_batch
 from repro.runtime.cache import ResultCache
 from repro.runtime.records import record_from_evaluation
 from repro.runtime.tasks import (
@@ -64,9 +60,9 @@ class TaskOutcome:
     record:
         The plain-data evaluation record (see :mod:`repro.runtime.records`).
     seconds:
-        Solver wall time attributed to this point: the direct solve time
-        on the point-by-point path, the point's share of its chunk's
-        batched solve on the batched path, 0.0 when served from cache.
+        Solver wall time attributed to this point: the point's share of
+        its chunk's batched solve (its own solve time under an
+        ``evaluate_fn`` override), 0.0 when served from cache.
     cached:
         Whether the record came from the result cache.
     """
@@ -81,22 +77,22 @@ def _solve_points(
     params: GSUParameters,
     phis: Sequence[float],
     evaluate_fn: EvaluateFn | None = None,
-    batch: bool = True,
-    parametric: bool = True,
 ) -> list[tuple[dict, float]]:
     """Evaluate one chunk of same-parameter points with a shared solver.
 
-    With ``batch=True`` (and no ``evaluate_fn`` override) the whole
-    chunk goes through :func:`~repro.gsu.performability.evaluate_batch`
-    — one solver pass per (model, reward structure) — and each point
-    reports its share of the chunk's wall time.  An ``evaluate_fn``
-    forces the point-by-point path so instrumentation stubs observe one
-    call per point.  ``parametric`` selects template re-stamping versus
-    fresh model compilation for this chunk's solver (results are bitwise
-    identical either way).
+    The whole chunk goes through
+    :func:`~repro.gsu.performability.evaluate_batch` — one solver pass
+    per (model, reward structure) — and each point reports its share of
+    the chunk's wall time.  An ``evaluate_fn`` override is called once
+    per point instead, so instrumentation stubs observe every point.
+
+    Module-level so the process backend can pickle it.  Each worker
+    process holds its own shared template cache, so with
+    structure-ordered chunks it compiles each model structure once and
+    re-stamps for every subsequent chunk it serves.
     """
-    solver = ConstituentSolver(params, parametric=parametric)
-    if batch and evaluate_fn is None:
+    solver = ConstituentSolver(params)
+    if evaluate_fn is None:
         start = time.perf_counter()
         evaluations = evaluate_batch(params, list(phis), solver=solver)
         per_point = (time.perf_counter() - start) / max(len(evaluations), 1)
@@ -104,30 +100,14 @@ def _solve_points(
             (record_from_evaluation(evaluation), per_point)
             for evaluation in evaluations
         ]
-    evaluate = evaluate_fn or evaluate_index
     results: list[tuple[dict, float]] = []
     for phi in phis:
         start = time.perf_counter()
-        evaluation = evaluate(params, phi, solver)
+        evaluation = evaluate_fn(params, phi, solver)
         results.append(
             (record_from_evaluation(evaluation), time.perf_counter() - start)
         )
     return results
-
-
-def _solve_points_remote(
-    params: GSUParameters,
-    phis: tuple[float, ...],
-    batch: bool = True,
-    parametric: bool = True,
-) -> list[tuple[dict, float]]:
-    """Module-level chunk worker for the process backend (picklable).
-
-    Each worker process holds its own shared template cache, so with
-    structure-ordered chunks it compiles each model structure once and
-    re-stamps for every subsequent chunk it serves.
-    """
-    return _solve_points(params, phis, batch=batch, parametric=parametric)
 
 
 def _chunk_length(group_size: int, jobs: int, chunk_size: int | None) -> int:
@@ -183,8 +163,6 @@ def execute_tasks(
     cache: ResultCache | None = None,
     evaluate_fn: EvaluateFn | None = None,
     chunk_size: int | None = None,
-    batch: bool = True,
-    parametric: bool = True,
 ) -> list[TaskOutcome]:
     """Execute tasks and return outcomes in submission order.
 
@@ -202,24 +180,18 @@ def execute_tasks(
         are computed and written back.
     evaluate_fn:
         Evaluation override for instrumentation (e.g. counting stub
-        solvers in tests).  Supported on the in-process backends only;
-        the process backend would need to pickle it.  Forces the
-        point-by-point path regardless of ``batch``.
+        solvers in tests), called once per point instead of the
+        batched chunk solve.  Supported on the in-process backends only;
+        the process backend would need to pickle it.
     chunk_size:
         Points per dispatched chunk; default sizes chunks to roughly
         two per worker per curve for load balance.
-    batch:
-        When true (the default), each chunk of cache-missing points is
-        solved in one batched pass (one solver run per model and reward
-        structure) instead of point by point.  Cache keys and record
-        contents are unaffected — only how misses are computed changes.
-    parametric:
-        When true (the default), chunk solvers obtain their models by
-        re-stamping compiled state-space templates instead of rebuilding
-        them, and chunks are dispatched in structure-key order so each
-        worker compiles every structure at most once.  Results, cache
-        keys, and records are bitwise identical either way
-        (``--no-parametric`` is the cross-validation escape hatch).
+
+    Each chunk of cache-missing points is solved in one batched pass
+    (one solver run per model and reward structure) on models
+    re-stamped from compiled state-space templates.  Chunks dispatch in
+    structure-key order so each worker compiles every structure at most
+    once.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -241,13 +213,11 @@ def execute_tasks(
         else:
             pending.append((position, task))
 
-    # Group pending work by parameter set, ordered by structure key on
-    # the parametric path (parameter sets sharing a state-space template
-    # dispatch consecutively, so pool workers compile each structure at
-    # most once), then split each group into chunks for the worker pool.
-    groups = group_by_params(pending)
-    if parametric:
-        groups = order_groups_by_structure(groups)
+    # Group pending work by parameter set, ordered by structure key
+    # (parameter sets sharing a state-space template dispatch
+    # consecutively, so pool workers compile each structure at most
+    # once), then split each group into chunks for the worker pool.
+    groups = order_groups_by_structure(group_by_params(pending))
     chunks: list[list[tuple[int, EvaluationTask]]] = []
     for group in groups.values():
         length = _chunk_length(len(group), jobs, chunk_size)
@@ -260,23 +230,14 @@ def execute_tasks(
 
     if backend == "serial" or jobs == 1 or len(chunks) <= 1:
         solved = [
-            _solve_points(
-                *_chunk_args(chunk),
-                evaluate_fn=evaluate_fn,
-                batch=batch,
-                parametric=parametric,
-            )
+            _solve_points(*_chunk_args(chunk), evaluate_fn=evaluate_fn)
             for chunk in chunks
         ]
     elif backend == "thread":
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(
-                    _solve_points,
-                    *_chunk_args(chunk),
-                    evaluate_fn=evaluate_fn,
-                    batch=batch,
-                    parametric=parametric,
+                    _solve_points, *_chunk_args(chunk), evaluate_fn=evaluate_fn
                 )
                 for chunk in chunks
             ]
@@ -284,12 +245,7 @@ def execute_tasks(
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(
-                    _solve_points_remote,
-                    *_chunk_args(chunk),
-                    batch=batch,
-                    parametric=parametric,
-                )
+                pool.submit(_solve_points, *_chunk_args(chunk))
                 for chunk in chunks
             ]
             solved = [future.result() for future in futures]

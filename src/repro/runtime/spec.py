@@ -32,11 +32,14 @@ def default_grid(theta: float, step: float = 1000.0) -> list[float]:
     within relative tolerance :data:`GRID_REL_TOL` of ``theta`` it is
     dropped in favour of the exact endpoint, so the grid never ends in a
     near-duplicate pair like ``(9999.999999999998, 10000.0)``.
+
+    ``step`` and ``theta`` must be positive and finite; a NaN or
+    infinite value would never reach the endpoint and loop forever.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     grid: list[float] = []
     i = 0
     while True:

@@ -624,13 +624,7 @@ def fleet_generator_blocked(
     )
 
 
-def fleet_chain(
-    n: int,
-    rates,
-    repair_servers: int = 1,
-    assembly: str = "auto",
-    block_states: int | None = None,
-) -> CTMC:
+def fleet_chain(n: int, rates, repair_servers: int = 1) -> CTMC:
     """The flat ``4**n``-state CTMC of an ``n``-process MDCD fleet.
 
     All processes start in the ``ok`` state.  ``rates`` is one
@@ -638,48 +632,26 @@ def fleet_chain(
     the multi-upgrade scenario form, where per-process rates differ
     (staged upgrades, heterogeneous fault exposure).
 
-    ``assembly`` picks the construction path:
-
-    ``"pattern"``
-        Stamp the cached whole-space CSR skeleton — compile-once /
-        re-stamp economics for parameter sweeps.  Homogeneous rates
-        only; state count bounded by the global-lexsort footprint.
-    ``"blocked"``
-        Row-block assembly (:func:`fleet_generator_blocked`) — bounded
-        transient memory, heterogeneous rates supported.
-    ``"auto"``
-        Pattern for homogeneous fleets up to
-        ``FLEET_PATTERN_STATE_LIMIT`` states, blocked beyond it and for
-        every heterogeneous fleet.
+    Homogeneous fleets up to ``FLEET_PATTERN_STATE_LIMIT`` states stamp
+    the cached whole-space CSR skeleton (:func:`fleet_pattern`) —
+    compile-once / re-stamp economics for parameter sweeps.  Larger and
+    heterogeneous fleets use row-block assembly
+    (:func:`fleet_generator_blocked`) — bounded transient memory,
+    per-process rates supported.  Both give the same matrix, bitwise.
 
     Unlabelled — flat states are addressed positionally via
     :func:`fleet_digits`.
     """
-    if assembly not in ("auto", "pattern", "blocked"):
-        raise ModelStructureError(
-            f"unknown assembly {assembly!r}; choose auto, pattern or blocked"
-        )
-    homogeneous = isinstance(rates, FleetRates)
-    if assembly == "pattern" and not homogeneous:
-        raise ModelStructureError(
-            "pattern assembly requires homogeneous rates; use "
-            "assembly='blocked' for per-process rates"
-        )
-    if assembly == "auto":
-        use_pattern = (
-            homogeneous and FLEET_LOCAL_STATES**n <= FLEET_PATTERN_STATE_LIMIT
-        )
-    else:
-        use_pattern = assembly == "pattern"
-    if use_pattern:
+    if (
+        isinstance(rates, FleetRates)
+        and FLEET_LOCAL_STATES**n <= FLEET_PATTERN_STATE_LIMIT
+    ):
         pattern = fleet_pattern(n, repair_servers)
         q = pattern.stamp(rates)
         num_states = pattern.num_states
     else:
         q = fleet_generator_blocked(
-            fleet_rate_matrix(rates, n),
-            repair_servers=repair_servers,
-            block_states=block_states,
+            fleet_rate_matrix(rates, n), repair_servers=repair_servers
         )
         num_states = q.shape[0]
     initial = np.zeros(num_states)

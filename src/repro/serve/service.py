@@ -51,6 +51,7 @@ down.
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
@@ -187,9 +188,9 @@ class ServeConfig:
 def default_solve_fn(params: GSUParameters, phis: list[float]) -> list[dict]:
     """The production batch solver: one batched grid solve per call.
 
-    Identical to what the campaign runtime's batched path computes for
-    the same ``(params, phi)`` inputs — records are interchangeable
-    under the shared content-addressed cache keys.
+    Identical to what the campaign runtime computes for the same
+    ``(params, phi)`` inputs — records are interchangeable under the
+    shared content-addressed cache keys.
     """
     solver = ConstituentSolver(params)
     return [
@@ -214,6 +215,52 @@ def _request_key(body: dict) -> tuple | None:
         return _freeze(body)
     except TypeError:
         return None
+
+
+def _parse_grid(body: dict, params: GSUParameters | FleetParameters) -> list[float]:
+    """The request's ``phi`` grid: explicit list or ``step`` spacing.
+
+    A ``step`` grid is sized from ``theta / step`` before it is built, so
+    an oversized (or NaN / infinite) step is refused without ever
+    materialising the grid on the event loop.  Every phi is validated
+    against ``[0, theta]``.
+    """
+    phis = body.get("phis")
+    step = body.get("step")
+    if phis is not None and step is not None:
+        raise HttpError(400, "give either 'phis' or 'step', not both")
+    if phis is None:
+        try:
+            grid_step = float(step) if step is not None else 1000.0
+        except (TypeError, ValueError) as exc:
+            raise HttpError(400, f"invalid step: {exc}") from exc
+        if not 0 < grid_step < math.inf:
+            raise HttpError(
+                400, f"invalid step: must be positive and finite, got {grid_step:g}"
+            )
+        # default_grid has floor(theta / step) + 1 points at most.
+        if params.theta / grid_step >= MAX_GRID_POINTS:
+            raise HttpError(
+                400,
+                f"grid of theta / step = {params.theta / grid_step:.4g} "
+                f"steps exceeds {MAX_GRID_POINTS} points",
+            )
+        grid = default_grid(params.theta, step=grid_step)
+    else:
+        if not isinstance(phis, list) or not phis:
+            raise HttpError(400, "'phis' must be a non-empty array")
+        grid = phis
+    if len(grid) > MAX_GRID_POINTS:
+        raise HttpError(
+            400, f"grid of {len(grid)} points exceeds {MAX_GRID_POINTS}"
+        )
+    validated = []
+    for phi in grid:
+        try:
+            validated.append(params.validate_phi(float(phi)))
+        except (TypeError, ValueError) as exc:
+            raise HttpError(400, f"invalid phi: {exc}") from exc
+    return validated
 
 
 class PerformabilityService:
@@ -298,35 +345,6 @@ class PerformabilityService:
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"invalid parameters: {exc}") from exc
 
-    @staticmethod
-    def _parse_phis(body: dict, params: GSUParameters) -> list[float]:
-        """The request's ``phi`` grid: explicit list or ``step`` spacing."""
-        phis = body.get("phis")
-        step = body.get("step")
-        if phis is not None and step is not None:
-            raise HttpError(400, "give either 'phis' or 'step', not both")
-        if phis is None:
-            try:
-                grid_step = float(step) if step is not None else 1000.0
-                grid = default_grid(params.theta, step=grid_step)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid step: {exc}") from exc
-        else:
-            if not isinstance(phis, list) or not phis:
-                raise HttpError(400, "'phis' must be a non-empty array")
-            grid = phis
-        if len(grid) > MAX_GRID_POINTS:
-            raise HttpError(
-                400, f"grid of {len(grid)} points exceeds {MAX_GRID_POINTS}"
-            )
-        validated = []
-        for phi in grid:
-            try:
-                validated.append(params.validate_phi(float(phi)))
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid phi: {exc}") from exc
-        return validated
-
     def _tasks_for(
         self, params: GSUParameters, phis: list[float]
     ) -> list[EvaluationTask]:
@@ -370,35 +388,6 @@ class PerformabilityService:
             return FleetParameters(**values)
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"invalid fleet parameters: {exc}") from exc
-
-    @staticmethod
-    def _parse_fleet_phis(body: dict, params: FleetParameters) -> list[float]:
-        """The request's ``phi`` grid, validated against ``[0, theta]``."""
-        phis = body.get("phis")
-        step = body.get("step")
-        if phis is not None and step is not None:
-            raise HttpError(400, "give either 'phis' or 'step', not both")
-        if phis is None:
-            try:
-                grid_step = float(step) if step is not None else 1000.0
-                grid = default_grid(params.theta, step=grid_step)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid step: {exc}") from exc
-        else:
-            if not isinstance(phis, list) or not phis:
-                raise HttpError(400, "'phis' must be a non-empty array")
-            grid = phis
-        if len(grid) > MAX_GRID_POINTS:
-            raise HttpError(
-                400, f"grid of {len(grid)} points exceeds {MAX_GRID_POINTS}"
-            )
-        validated = []
-        for phi in grid:
-            try:
-                validated.append(params.validate_phi(float(phi)))
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"invalid phi: {exc}") from exc
-        return validated
 
     # ------------------------------------------------------------------
     # Endpoint handlers
@@ -474,7 +463,7 @@ class PerformabilityService:
                     },
                 }
         params = self._parse_params(body)
-        phis = self._parse_phis(body, params)
+        phis = _parse_grid(body, params)
         max_error = body.get("max_error")
         if max_error is not None:
             try:
@@ -541,7 +530,7 @@ class PerformabilityService:
                 f"per-request bound of {MAX_FLEET_FLAT_STATES}; use "
                 f"mode='lumped' ({params.lumped_states} states, exact)",
             )
-        phis = self._parse_fleet_phis(body, params)
+        phis = _parse_grid(body, params)
         tasks = plan_fleet_tasks(params, phis, mode=resolved)
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
@@ -576,14 +565,8 @@ class PerformabilityService:
     async def handle_optimal(self, body: dict) -> dict:
         """``POST /optimal`` — grid search (cached/coalesced) + refinement."""
         params = self._parse_params(body)
-        try:
-            step = float(body.get("step", 1000.0))
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"invalid step: {exc}") from exc
-        if step <= 0:
-            raise HttpError(400, f"step must be positive, got {step:g}")
         refine = bool(body.get("refine", False))
-        phis = self._parse_phis({"step": step}, params)
+        phis = _parse_grid({"step": body.get("step", 1000.0)}, params)
         served = await self.batcher.evaluate(
             params, self._tasks_for(params, phis), self.cache
         )

@@ -86,17 +86,17 @@ def overhead_from_constituents(constituents) -> float:
     return (2.0 - float(constituents["rho1"])) - float(constituents["rho2"])
 
 
-def local_evaluate_fn(
-    parametric: bool = True, max_solvers: int = 8
-) -> EvaluateFn:
+#: Parameter sets whose compiled solvers :func:`local_evaluate_fn` keeps.
+MAX_SOLVERS = 8
+
+
+def local_evaluate_fn() -> EvaluateFn:
     """The in-process evaluator: batched solves over shared solvers.
 
     Keeps a small LRU of :class:`ConstituentSolver` instances keyed by
     parameter set, so the phi coordinate of a gradient step (three
     durations, one parameter set) costs one batched pass and revisited
-    parameter sets reuse their compiled models.  ``max_solvers=0``
-    disables reuse — the naive per-point re-solve mode the synthesis
-    benchmark compares against (pair it with ``parametric=False``).
+    parameter sets reuse their compiled models.
     """
     from repro.gsu.measures import ConstituentSolver
     from repro.gsu.performability import evaluate_batch
@@ -106,11 +106,10 @@ def local_evaluate_fn(
     def evaluate(params, phis):
         solver = solvers.get(params)
         if solver is None:
-            solver = ConstituentSolver(params, parametric=parametric)
-            if max_solvers > 0:
-                solvers[params] = solver
-                while len(solvers) > max_solvers:
-                    solvers.popitem(last=False)
+            solver = ConstituentSolver(params)
+            solvers[params] = solver
+            if len(solvers) > MAX_SOLVERS:
+                solvers.popitem(last=False)
         else:
             solvers.move_to_end(params)
         evaluations = evaluate_batch(params, list(phis), solver=solver)

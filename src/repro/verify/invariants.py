@@ -189,7 +189,6 @@ def check_worth(
 def check_cutoff_continuity(
     params: GSUParameters,
     epsilon: float | None = None,
-    parametric: bool = True,
 ) -> list[InvariantCheck]:
     """``E[W_phi]`` and ``Y`` must be continuous across ``phi -> 0+``.
 
@@ -205,7 +204,7 @@ def check_cutoff_continuity(
 
     if epsilon is None:
         epsilon = 1e-4 * params.theta
-    solver = ConstituentSolver(params, parametric=parametric)
+    solver = ConstituentSolver(params)
     evaluations = evaluate_batch(params, [0.0, float(epsilon)], solver=solver)
     at_zero, at_eps = evaluations[0], evaluations[1]
 
@@ -236,7 +235,6 @@ def check_all(
     analytic_by_phi: Mapping[float, Mapping[str, float]],
     params: GSUParameters,
     tolerance: float = DEFAULT_TOLERANCE,
-    parametric: bool = True,
 ) -> list[InvariantCheck]:
     """Every invariant over a solved phi grid, plus the cutoff checks."""
     checks: list[InvariantCheck] = []
@@ -244,7 +242,7 @@ def check_all(
         constituents = analytic_by_phi[phi]
         checks.extend(check_constituents(constituents, phi, tolerance))
         checks.extend(check_worth(constituents, params, phi, tolerance))
-    checks.extend(check_cutoff_continuity(params, parametric=parametric))
+    checks.extend(check_cutoff_continuity(params))
     return checks
 
 

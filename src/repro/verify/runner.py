@@ -173,11 +173,9 @@ def plan_verify_tasks(profile: VerifyProfile) -> tuple[VerificationTask, ...]:
     return tuple(tasks)
 
 
-def analytic_solutions(
-    profile: VerifyProfile, parametric: bool = True
-) -> dict[float, dict[str, float]]:
+def analytic_solutions(profile: VerifyProfile) -> dict[float, dict[str, float]]:
     """The analytic constituent solutions at every profile phi."""
-    solver = ConstituentSolver(profile.params, parametric=parametric)
+    solver = ConstituentSolver(profile.params)
     rows = solver.batch([float(p) for p in profile.phis])
     return {float(phi): row for phi, row in zip(profile.phis, rows)}
 
@@ -284,7 +282,6 @@ def run_verify(
     cache_dir: Path | str | None = None,
     no_cache: bool = False,
     artifacts_dir: Path | str | None = None,
-    parametric: bool | None = None,
     surrogate=None,
 ) -> ConformanceReport:
     """Run one full verification campaign and return its report.
@@ -310,7 +307,6 @@ def run_verify(
     config = get_config()
     backend = backend if backend is not None else config.backend
     jobs = jobs if jobs is not None else config.jobs
-    parametric = parametric if parametric is not None else config.parametric
     if artifacts_dir is None:
         artifacts_dir = config.artifacts_dir
     if no_cache:
@@ -329,7 +325,7 @@ def run_verify(
     if surrogate is not None:
         analytic_by_phi = surrogate_solutions(profile, surrogate)
     else:
-        analytic_by_phi = analytic_solutions(profile, parametric=parametric)
+        analytic_by_phi = analytic_solutions(profile)
 
     # The profile confidence is family-wise: every statistical verdict
     # is judged at the Šidák-adjusted per-test level so the whole
@@ -341,9 +337,7 @@ def run_verify(
     )
     measures = constituent_verdicts(merged, analytic_by_phi, theta, per_test)
     composed = composed_verdicts(merged, analytic_by_phi, theta, per_test)
-    invariants = check_all(
-        analytic_by_phi, profile.params, parametric=parametric
-    )
+    invariants = check_all(analytic_by_phi, profile.params)
     wall_seconds = time.perf_counter() - start
 
     run_stats = None

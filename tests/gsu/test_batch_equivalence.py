@@ -42,8 +42,10 @@ class TestBatchMatchesScalar:
         for curve in spec.curves:
             phis = list(curve.grid())
             solver = ConstituentSolver(curve.params)
-            batched = sweep_phi(curve.params, phis, solver=solver, batch=True)
-            scalar = sweep_phi(curve.params, phis, solver=solver, batch=False)
+            batched = sweep_phi(curve.params, phis, solver=solver)
+            scalar = [
+                evaluate_index(curve.params, phi, solver=solver) for phi in phis
+            ]
             for b, s in zip(batched, scalar):
                 assert b.phi == s.phi
                 assert abs(b.value - s.value) <= 1e-10

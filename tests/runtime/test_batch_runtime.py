@@ -1,16 +1,19 @@
 """Batched per-curve execution through the campaign runtime.
 
-The batched path changes *how* cache-missing points are solved — one
-solver pass per curve instead of one per point — but must not change
-anything observable: cache keys, record contents, per-point outcomes,
-or the values a pre-existing point-by-point cache serves.
+The runtime solves cache-missing points one solver pass per curve, but
+must agree with the point-by-point reference (``evaluate_index`` at
+every phi): same record contents bit for bit, same cache keys, and a
+cache populated point by point serves a campaign fully.
 """
 
 import pytest
 
+from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
+from repro.gsu.performability import evaluate_index
 from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import RuntimeConfig, run_campaign, use_config
+from repro.runtime.campaign import run_campaign
+from repro.runtime.records import record_from_evaluation
 from repro.runtime.spec import CampaignSpec, CurveSpec
 from repro.runtime.tasks import group_by_params, plan_campaign
 
@@ -29,72 +32,60 @@ def cache(tmp_path):
     return ResultCache(root=tmp_path / "cache")
 
 
+def per_point_records(spec):
+    """The reference: ``evaluate_index`` per planned point, fresh solver."""
+    solver = ConstituentSolver(PAPER_TABLE3)
+    return [
+        record_from_evaluation(evaluate_index(task.params, task.phi, solver))
+        for task in plan_campaign(spec)
+    ]
+
+
 class TestBatchPointEquivalence:
     def test_batched_and_per_point_runs_are_bitwise_equal(self):
         spec = small_spec()
-        batched = run_campaign(spec, batch=True)
-        per_point = run_campaign(spec, batch=False)
-        assert (
-            batched.sweeps[0].values == per_point.sweeps[0].values
-        )
-        for b, p in zip(batched.outcomes, per_point.outcomes):
-            assert b.record == p.record
+        batched = run_campaign(spec)
+        per_point = per_point_records(spec)
+        assert batched.sweeps[0].values == [r["value"] for r in per_point]
+        assert [o.record for o in batched.outcomes] == per_point
 
     def test_per_point_cache_serves_batched_rerun_fully(self, cache):
-        # A cache populated before the batched path existed must yield
-        # 100% hits when the same campaign reruns batched.
+        # A cache populated point by point must yield 100% hits when the
+        # same campaign reruns batched.
         spec = small_spec()
-        cold = run_campaign(spec, cache=cache, batch=False)
-        assert cold.cache_stats.misses == 3
+        for task, record in zip(plan_campaign(spec), per_point_records(spec)):
+            cache.put(task, record)
 
-        warm = run_campaign(spec, cache=cache, batch=True)
+        warm = run_campaign(spec, cache=cache)
         assert warm.cache_stats.hits == 3
         assert warm.cache_stats.misses == 0
-        assert warm.sweeps[0].values == cold.sweeps[0].values
+        assert [o.record for o in warm.outcomes] == per_point_records(spec)
 
     def test_batched_cache_serves_per_point_rerun_fully(self, cache):
+        # Every entry a batched run writes is exactly the record the
+        # point-by-point reference computes under the same key.
         spec = small_spec()
-        cold = run_campaign(spec, cache=cache, batch=True)
+        cold = run_campaign(spec, cache=cache)
         assert cold.cache_stats.misses == 3
 
-        warm = run_campaign(spec, cache=cache, batch=False)
-        assert warm.cache_stats.hits == 3
-        assert warm.sweeps[0].values == cold.sweeps[0].values
+        tasks = plan_campaign(spec)
+        assert [cache.get(task) for task in tasks] == per_point_records(spec)
 
     def test_partial_cache_batches_only_the_misses(self, cache):
         # Pre-populate two of five points; the batched rerun must solve
         # exactly the three missing ones and reuse the rest.
         phis = (0.0, 2500.0, 5000.0, 7500.0, 10_000.0)
         seed = small_spec(phis=(2500.0, 7500.0))
-        run_campaign(seed, cache=cache, batch=False)
+        run_campaign(seed, cache=cache)
 
-        full = run_campaign(small_spec(phis=phis), cache=cache, batch=True)
+        full = run_campaign(small_spec(phis=phis), cache=cache)
         assert full.cache_stats.hits == 2
         assert full.cache_stats.misses == 3
         cached_flags = [o.cached for o in full.outcomes]
         assert cached_flags == [False, True, False, True, False]
 
-        reference = run_campaign(small_spec(phis=phis), batch=False)
-        assert full.sweeps[0].values == reference.sweeps[0].values
-
-
-class TestConfigPlumbing:
-    def test_config_batch_default_is_on(self):
-        assert RuntimeConfig().batch is True
-
-    def test_config_no_batch_is_honoured(self):
-        spec = small_spec()
-        reference = run_campaign(spec, batch=False)
-        with use_config(RuntimeConfig(batch=False)):
-            configured = run_campaign(spec)
-        assert configured.sweeps[0].values == reference.sweeps[0].values
-
-    def test_explicit_batch_overrides_config(self):
-        spec = small_spec()
-        with use_config(RuntimeConfig(batch=False)):
-            overridden = run_campaign(spec, batch=True)
-        reference = run_campaign(spec, batch=True)
-        assert overridden.sweeps[0].values == reference.sweeps[0].values
+        reference = per_point_records(small_spec(phis=phis))
+        assert full.sweeps[0].values == [r["value"] for r in reference]
 
 
 class TestGroupByParams:

@@ -1,26 +1,28 @@
-"""Runtime plumbing of the parametric fast path.
+"""The campaign runtime against the rebuilt-model reference.
 
-Two guarantees beyond raw speed:
+Campaign solvers obtain their models by re-stamping compiled state-space
+templates.  Re-stamped models are bitwise equal to fresh ``build_ctmc``
+compiles (``ConstituentSolver(params, parametric=False)``), so:
 
-* **Configuration** — ``parametric`` defaults to on, is overridable per
-  call and per installed :class:`RuntimeConfig`, and the CLI's
-  ``--no-parametric`` reaches the campaign runtime.
-* **Cache compatibility** — the content-addressed result cache is
-  path-*independent*: entries written by any combination of
-  ``--no-parametric`` / ``--no-batch`` serve every other combination at
-  a 100% hit rate with bit-identical curves, because re-stamped models
-  are bitwise equal to rebuilt ones and cache keys never encode the
-  execution path.
+* **Values** — every campaign curve equals the rebuilt-model curve bit
+  for bit.
+* **Cache compatibility** — cache keys never encode how a record was
+  computed: entries written by the campaign or by the rebuilt-model
+  reference serve the other at a 100% hit rate, bit for bit.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.gsu.measures import ConstituentSolver
 from repro.gsu.parameters import PAPER_TABLE3
+from repro.gsu.performability import evaluate_index
 from repro.runtime.cache import ResultCache
-from repro.runtime.campaign import RuntimeConfig, run_campaign, use_config
+from repro.runtime.campaign import run_campaign
+from repro.runtime.records import record_from_evaluation
 from repro.runtime.spec import CampaignSpec, CurveSpec
+from repro.runtime.tasks import plan_campaign
 
 
 def _small_campaign() -> CampaignSpec:
@@ -38,81 +40,60 @@ def _small_campaign() -> CampaignSpec:
     return CampaignSpec(name="parametric-audit", curves=tuple(curves))
 
 
-class TestConfiguration:
-    def test_parametric_defaults_on(self):
-        assert RuntimeConfig().parametric is True
+#: The two execution paths as (parametric, batch): the campaign runtime
+#: (re-stamped templates, batched), and the reference (rebuilt models,
+#: ``evaluate_index`` point by point).
+CAMPAIGN = (True, True)
+REFERENCE = (False, False)
 
-    def test_installed_config_controls_path(self):
-        spec = _small_campaign()
-        with use_config(RuntimeConfig(parametric=False)):
-            slow = run_campaign(spec)
-        fast = run_campaign(spec)  # default config: parametric on
-        for fast_sweep, slow_sweep in zip(fast.sweeps, slow.sweeps):
-            assert fast_sweep.values == slow_sweep.values
 
-    def test_explicit_argument_beats_config(self):
-        spec = _small_campaign()
-        with use_config(RuntimeConfig(parametric=False)):
-            result = run_campaign(spec, parametric=True)
-        assert result.sweeps  # executed through the explicit fast path
+def _reference_records(spec: CampaignSpec) -> list[dict]:
+    """Every planned point's record: rebuilt models, point by point."""
+    records = []
+    for curve in spec.curves:
+        solver = ConstituentSolver(curve.params, parametric=False)
+        records.extend(
+            record_from_evaluation(evaluate_index(curve.params, phi, solver))
+            for phi in curve.grid()
+        )
+    return records
+
+
+def test_campaign_matches_rebuilt_models():
+    spec = _small_campaign()
+    result = run_campaign(spec)
+    assert [o.record for o in result.outcomes] == _reference_records(spec)
 
 
 @pytest.mark.parametrize(
     ("writer", "reader"),
     [
-        # (parametric, batch) of the pass that populates the cache vs
-        # the pass that must be served entirely from it.
-        ((False, False), (True, True)),
-        ((True, True), (False, False)),
+        # The pass that populates the cache vs the pass that must be
+        # served entirely from it.
+        (REFERENCE, CAMPAIGN),
+        (CAMPAIGN, REFERENCE),
     ],
 )
 def test_cache_entries_cross_execution_paths(tmp_path, writer, reader):
     spec = _small_campaign()
     cache = ResultCache(root=tmp_path / "cache")
+    tasks = plan_campaign(spec)
 
-    w_parametric, w_batch = writer
-    cold = run_campaign(
-        spec, cache=cache, parametric=w_parametric, batch=w_batch
-    )
-    assert cold.cache_stats.misses == spec.num_points
+    if writer == CAMPAIGN:
+        cold = run_campaign(spec, cache=cache)
+        assert cold.cache_stats.misses == spec.num_points
+        written = [o.record for o in cold.outcomes]
+    else:
+        written = _reference_records(spec)
+        for task, record in zip(tasks, written):
+            cache.put(task, record)
 
-    r_parametric, r_batch = reader
-    warm = run_campaign(
-        spec, cache=cache, parametric=r_parametric, batch=r_batch
-    )
-    assert warm.tasks_computed == 0
-    assert warm.cache_stats.hit_rate == 1.0
-    for warm_sweep, cold_sweep in zip(warm.sweeps, cold.sweeps):
-        assert warm_sweep.phis == cold_sweep.phis
-        assert warm_sweep.values == cold_sweep.values
-
-
-def test_cli_no_parametric_reaches_runtime(tmp_path, monkeypatch, capsys):
-    """``repro campaign --no-parametric`` must configure the runtime."""
-    import repro.cli as cli
-    import repro.runtime.campaign as campaign_mod
-
-    seen = {}
-    real_run_campaign = campaign_mod.run_campaign
-
-    def spy(spec, **kwargs):
-        # The CLI installs its RuntimeConfig around the call, so the
-        # flag arrives via the active configuration.
-        seen["parametric"] = campaign_mod.get_config().parametric
-        return real_run_campaign(spec, **kwargs)
-
-    monkeypatch.setattr(cli, "run_campaign", spy)
-    cli.main(
-        [
-            "campaign",
-            "FIG9",
-            "--step",
-            "10000",
-            "--no-chart",
-            "--no-parametric",
-            "--run-dir",
-            str(tmp_path / "runs"),
-        ]
-    )
-    capsys.readouterr()
-    assert seen.get("parametric") is False
+    if reader == CAMPAIGN:
+        warm = run_campaign(spec, cache=cache)
+        assert warm.tasks_computed == 0
+        assert warm.cache_stats.hit_rate == 1.0
+        served = [o.record for o in warm.outcomes]
+    else:
+        served = [cache.get(task) for task in tasks]
+        assert served == _reference_records(spec)
+    assert served == written

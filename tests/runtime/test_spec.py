@@ -1,6 +1,8 @@
 """Tests for campaign specs, grids, and the task planner."""
 
+import contextlib
 import math
+import signal
 
 import pytest
 
@@ -15,6 +17,22 @@ from repro.runtime.spec import (
     params_to_dict,
 )
 from repro.runtime.tasks import CACHE_KEY_SCHEMA_VERSION, plan_campaign
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail (instead of hanging the suite) if the body outlives ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDefaultGrid:
@@ -43,8 +61,16 @@ class TestDefaultGrid:
         assert grid == [float(i * 1000) for i in range(101)]
 
     def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            default_grid(10.0, step=0.0)
+        # NaN compares false against every bound, so an unguarded grid
+        # loop would append NaN forever instead of reaching theta.
+        for step in (0.0, -1.0, math.nan, math.inf):
+            with _deadline(3.0), pytest.raises(ValueError, match="step"):
+                default_grid(10_000.0, step=step)
+
+    def test_invalid_theta(self):
+        for theta in (0.0, math.nan, math.inf):
+            with _deadline(3.0), pytest.raises(ValueError, match="theta"):
+                default_grid(theta, step=1000.0)
 
     def test_step_larger_than_theta(self):
         assert default_grid(500.0, step=1000.0) == [0.0, 500.0]

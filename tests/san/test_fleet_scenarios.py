@@ -15,15 +15,18 @@ import json
 import numpy as np
 import pytest
 
+import repro.san.composition as composition
 from repro.cli import main
 from repro.ctmc.errors import CTMCError
 from repro.ctmc.transient import transient_grid
 from repro.gsu.fleet import FleetParameters, FleetSolver
+from repro.runtime.spec import default_grid
 from repro.san.composition import (
     FLEET_ASSEMBLY_BLOCK_STATES,
     FleetRates,
     fleet_chain,
     fleet_generator_blocked,
+    fleet_pattern,
     fleet_rate_matrix,
 )
 from repro.san.errors import ModelStructureError
@@ -58,12 +61,10 @@ def _csr_equal(a, b) -> bool:
 class TestBlockedAssembly:
     @pytest.mark.parametrize("n,servers", [(1, 1), (3, 2), (5, 3), (6, 1)])
     def test_bitwise_identical_to_pattern_path(self, n, servers):
-        pattern = fleet_chain(
-            n, NEW, repair_servers=servers, assembly="pattern"
-        ).generator
-        blocked = fleet_chain(
-            n, NEW, repair_servers=servers, assembly="blocked"
-        ).generator
+        pattern = fleet_pattern(n, servers).stamp(NEW)
+        blocked = fleet_generator_blocked(
+            fleet_rate_matrix(NEW, n), repair_servers=servers
+        )
         assert _csr_equal(pattern, blocked)
 
     @pytest.mark.parametrize("block_states", [1, 3, 17, 64])
@@ -96,17 +97,22 @@ class TestBlockedAssembly:
         assert q[0, 1] == pytest.approx(NEW.contaminate)
         assert q[0, 4] == pytest.approx(OLD.contaminate)
 
-    def test_pattern_assembly_rejects_heterogeneous_rates(self):
-        with pytest.raises(ModelStructureError, match="pattern"):
-            fleet_chain(2, [NEW, OLD], assembly="pattern")
+    def test_pattern_assembly_rejects_heterogeneous_rates(self, monkeypatch):
+        # The cached pattern stamps one rate vector for every process, so
+        # a per-process rate list must always take the blocked path.
+        def no_pattern(*args, **kwargs):
+            raise AssertionError("heterogeneous fleet reached fleet_pattern")
+
+        monkeypatch.setattr(composition, "fleet_pattern", no_pattern)
+        chain = fleet_chain(2, [NEW, OLD])
+        expected = fleet_generator_blocked(fleet_rate_matrix([NEW, OLD], 2))
+        assert _csr_equal(chain.generator, expected)
 
     def test_rate_matrix_validation(self):
         with pytest.raises(ModelStructureError, match="one FleetRates"):
             fleet_rate_matrix([NEW], 2)
         with pytest.raises(ModelStructureError, match="FleetRates"):
             fleet_rate_matrix([NEW, (1, 2, 3, 4)], 2)
-        with pytest.raises(ModelStructureError, match="unknown assembly"):
-            fleet_chain(2, NEW, assembly="bogus")
 
 
 class TestGroupedQuotient:
@@ -208,6 +214,21 @@ class TestStagedUpgradeScenario:
         assert records[0]["params"]["n_upgraded"] == 1
         assert records[0]["params"]["mu_legacy"] == 5e-4
         assert records[0]["states"] == 40  # C(1+3,3) * C(2+3,3) = 4 * 10
+
+    @pytest.mark.parametrize("step", [0.1, 0.3])
+    def test_cli_step_grid_is_default_grid(self, capsys, step):
+        # The CLI and POST /fleet must solve the same phis (and so hit
+        # the same cache keys) for the same step.
+        argv = ["fleet", "--processes", "2", "--theta", "1",
+                "--step", str(step), "--json"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["phi"] for r in records] == default_grid(1.0, step)
+
+    def test_cli_rejects_nan_step(self, capsys):
+        argv = ["fleet", "--processes", "2", "--step", "nan"]
+        assert main(argv) == 2
+        assert "step" in capsys.readouterr().err
 
     def test_cli_staged_flags_must_pair(self, capsys):
         assert main(["fleet", "--processes", "3", "--upgraded", "1"]) == 2

@@ -97,6 +97,22 @@ class TestFleetEndpoint:
         assert status == 400
         assert "phi" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "step, fragment", [("nan", "invalid step"), (1e-6, "exceeds")]
+    )
+    def test_unbounded_step_rejected_promptly(self, server, step, fragment):
+        host, port = server.address
+        status, _, payload = request_once(
+            host,
+            port,
+            endpoint="/fleet",
+            method="POST",
+            body={"fleet": FLEET, "step": step},
+            timeout=10.0,
+        )
+        assert status == 400
+        assert fragment in payload["error"]
+
     def test_phis_and_step_mutually_exclusive(self, server):
         status, _, payload = post_fleet(
             server, {"fleet": FLEET, "phis": [1.0], "step": 100.0}

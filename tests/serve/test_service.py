@@ -118,12 +118,16 @@ class TestEvaluate:
             ({"phis": [1e12]}, "invalid phi"),
             ({"phis": ["abc"]}, "invalid phi"),
             ({"step": -5.0}, "invalid step"),
+            ({"step": "nan"}, "invalid step"),
+            ({"step": 1e-6}, "exceeds"),
         ],
     )
     def test_validation_errors_are_400(self, server, body, fragment):
+        # A short client timeout: an unbounded grid would otherwise be
+        # built on the server's event loop and stall the request.
         host, port = server.address
         status, _, payload = request_once(
-            host, port, "/evaluate", "POST", body
+            host, port, "/evaluate", "POST", body, timeout=10.0
         )
         assert status == 400
         assert fragment in payload["error"]
