@@ -87,7 +87,11 @@ scaling-slow:
 # batched campaign vs evaluate_index point by point (>= 5x) and template
 # re-stamping vs rebuilt models (>= 3x); writes
 # benchmarks/reports/BENCH_sweep.json and BENCH_param_sweep.json.
+# BLAS runs on one thread: the ~43x43 expm/eig calls gain nothing from
+# a thread pool, and a multithreaded OpenBLAS woken after an idle spell
+# stalls the timed batched side.
 sweep-bench:
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m pytest -q \
 		benchmarks/test_campaign_scaling.py::test_batched_sweep_speedup \
 		benchmarks/test_param_sweep_scaling.py::test_parametric_campaign_speedup

@@ -56,7 +56,6 @@ ACCUMULATED_GRID_METHODS = (
     "uniformization",
     "augmented-expm",
     "augmented-krylov",
-    "augmented-propagator",
     "quadrature",
 )
 
@@ -194,9 +193,6 @@ def accumulated_grid(
     * ``"augmented-krylov"`` — segment-stepped sparse Krylov actions of
       the CSR augmented generator; ``O(nnz)`` memory, the backend stiff
       large composed fleets dispatch to.
-    * ``"augmented-propagator"`` — step the augmented state with reused
-      ``exp(A dt)`` propagators; cheapest for dense grids on small
-      chains, with step round-off compounding along the grid.
     * ``"quadrature"`` — independent per-point quadrature
       (cross-validation only).
 
@@ -228,9 +224,6 @@ def accumulated_grid(
     elif method == "augmented-krylov":
         config.record_dispatch("augmented-krylov")
         out = _augmented_krylov_grid(chain, r, unique)[1]
-    elif method == "augmented-propagator":
-        config.record_dispatch("augmented-expm")
-        out = _augmented_propagator_grid(chain, r, unique)
     else:
         config.record_dispatch("quadrature")
         out = np.array(
@@ -363,37 +356,6 @@ def transient_accumulated_grid(
                 row = row / total
             rows[k] = row
     return rows[inverse], acc[inverse]
-
-
-def _augmented_propagator_grid(
-    chain: CTMC, rewards: np.ndarray, unique: np.ndarray
-) -> np.ndarray:
-    """Step ``(pi(t), y(t))`` along the grid with reused ``exp(A dt)``."""
-    n = chain.num_states
-    limit = config.limits().dense_state_limit
-    if n >= limit:
-        raise CTMCError(
-            f"augmented-propagator limited to {limit} states; chain has {n}"
-        )
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = chain.generator.toarray()
-    a[:n, n] = rewards
-    state = np.zeros(n + 1)
-    state[:n] = chain.initial_distribution
-    propagators: dict[float, np.ndarray] = {}
-    out = np.empty(unique.size)
-    prev = 0.0
-    for k, t in enumerate(unique):
-        dt = float(t) - prev
-        if dt > 0.0:
-            propagator = propagators.get(dt)
-            if propagator is None:
-                propagator = dense_expm(a * dt)
-                propagators[dt] = propagator
-            state = state @ propagator
-        out[k] = state[n]
-        prev = float(t)
-    return out
 
 
 def averaged_interval_reward(

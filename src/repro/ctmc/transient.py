@@ -77,7 +77,6 @@ TRANSIENT_GRID_METHODS = (
     "uniformization",
     "dense-expm",
     "spectral",
-    "propagator",
     "expm",
     "krylov",
 )
@@ -204,7 +203,7 @@ def transient_grid(
 
     The grid is deduplicated up front (repeated time points are solved
     once and broadcast back), then the unique points are served by one of
-    five strategies:
+    four strategies:
 
     * ``"uniformization"`` — one incremental Fox–Glynn pass across the
       whole grid (:func:`~repro.ctmc.uniformization.uniformization_grid`).
@@ -218,11 +217,6 @@ def transient_grid(
       point; arithmetic identical to the scalar
       :func:`transient_distribution` dense branch.  Stiffness-
       independent; dense state limit applies.
-    * ``"propagator"`` — dense step propagators ``exp(Q dt)`` reused
-      across equal segment lengths, one matrix-vector product per point.
-      Cheapest for dense grids on small chains; step round-off compounds
-      along the grid, so prefer ``"dense-expm"`` when bitwise agreement
-      with the scalar path matters.
     * ``"expm"`` — an independent Krylov ``expm_multiply`` per point
       from ``t = 0`` (cross-validation backend).
 
@@ -256,8 +250,6 @@ def transient_grid(
             config.record_dispatch("spectral")
     elif method == "dense-expm":
         out = _dense_expm_grid(chain, unique)
-    elif method == "propagator":
-        out = _propagator_grid(chain, unique)
     elif method == "krylov":
         config.record_dispatch("krylov")
         out = _krylov_grid(chain, unique)
@@ -284,32 +276,6 @@ def _dense_expm_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
         if total > 0:
             row = row / total
         out[k] = row
-    return out
-
-
-def _propagator_grid(chain: CTMC, unique: np.ndarray) -> np.ndarray:
-    """Step dense propagators ``exp(Q dt)`` along the grid, reusing them."""
-    _check_dense(chain)
-    config.record_dispatch("dense-expm")
-    q = chain.generator.toarray()
-    pi = chain.initial_distribution
-    propagators: dict[float, np.ndarray] = {}
-    out = np.empty((unique.size, chain.num_states))
-    prev = 0.0
-    for k, t in enumerate(unique):
-        dt = float(t) - prev
-        if dt > 0.0:
-            propagator = propagators.get(dt)
-            if propagator is None:
-                propagator = dense_expm(q * dt)
-                propagators[dt] = propagator
-            pi = pi @ propagator
-            pi = np.clip(pi, 0.0, None)
-            total = pi.sum()
-            if total > 0:
-                pi = pi / total
-        out[k] = pi
-        prev = float(t)
     return out
 
 

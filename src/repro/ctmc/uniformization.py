@@ -41,11 +41,12 @@ accumulated, ten states or ten million — runs through it, with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import stats
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from repro.ctmc import config
 from repro.ctmc.errors import CTMCError
@@ -100,6 +101,18 @@ class PoissonWindow:
         return max(0.0, 1.0 - self.total_mass)
 
 
+def _poisson_quantile(q: float, mean: float) -> int:
+    """Smallest ``k`` with ``Poisson(mean).cdf(k) >= q``, for ``0 < q < 1``.
+
+    ``pdtrik`` inverts the cdf continuously; rounding it up can land one
+    past the discrete quantile, so the step below is checked against
+    ``pdtr`` — the same correction ``scipy.stats.poisson.ppf`` applies.
+    """
+    k = math.ceil(pdtrik(q, mean))
+    below = max(k - 1, 0)
+    return below if pdtr(below, mean) >= q else k
+
+
 def poisson_excess_mean(mean: float, m: int) -> float:
     """``E[(N - m)^+]`` for ``N ~ Poisson(mean)``, in closed form.
 
@@ -116,8 +129,7 @@ def poisson_excess_mean(mean: float, m: int) -> float:
     """
     if m <= 0:
         return float(mean)
-    dist = stats.poisson(mean)
-    return float(max(0.0, mean * dist.sf(m - 1) - m * dist.sf(m)))
+    return float(max(0.0, mean * pdtrc(m - 1, mean) - m * pdtrc(m, mean)))
 
 
 def accrual_right_point(mean: float, tolerance: float) -> int:
@@ -133,8 +145,7 @@ def accrual_right_point(mean: float, tolerance: float) -> int:
     accrued tail for long horizons.
     """
     tolerance = max(tolerance, 1e-15)
-    dist = stats.poisson(mean)
-    right = int(dist.ppf(1.0 - tolerance))
+    right = _poisson_quantile(1.0 - tolerance, mean)
     target = tolerance * max(mean, 1.0)
     while poisson_excess_mean(mean, right + 1) > target:
         right += 1
@@ -144,11 +155,13 @@ def accrual_right_point(mean: float, tolerance: float) -> int:
 def fox_glynn_weights(mean: float, tolerance: float = 1e-12) -> PoissonWindow:
     """Compute truncated Poisson(``mean``) weights.
 
-    For numerical robustness we evaluate the probability mass function in
-    log space through :mod:`scipy.stats` rather than via the classical
-    recurrence; the *truncation-point selection* follows Fox–Glynn: centre
-    the window on the mode and expand until the captured mass reaches
-    ``1 - tolerance``.
+    For numerical robustness the probability mass function is evaluated
+    in log space, ``exp(k log(mean) - log(k!) - mean)`` through
+    :mod:`scipy.special`, rather than via the classical recurrence; the
+    *truncation-point selection* follows Fox–Glynn: centre the window on
+    the mode and expand until the captured mass reaches
+    ``1 - tolerance``.  Windows and weights are bitwise those of a
+    frozen ``scipy.stats.poisson``, without the cost of building one.
 
     Parameters
     ----------
@@ -165,19 +178,18 @@ def fox_glynn_weights(mean: float, tolerance: float = 1e-12) -> PoissonWindow:
     if mean == 0.0:
         return PoissonWindow(left=0, right=0, weights=np.array([1.0]), mean=0.0)
 
-    dist = stats.poisson(mean)
     # Quantile-based truncation: captured mass outside [left, right] is
     # below tolerance by construction of the inverse CDF.
-    left = int(dist.ppf(tolerance / 2.0))
-    right = int(dist.ppf(1.0 - tolerance / 2.0))
-    # Guard: ppf can be conservative for tiny means; widen until the mass
-    # criterion provably holds.
-    while left > 0 and dist.cdf(left - 1) > tolerance / 2.0:
+    left = _poisson_quantile(tolerance / 2.0, mean)
+    right = _poisson_quantile(1.0 - tolerance / 2.0, mean)
+    # Guard: the quantile can be conservative for tiny means; widen
+    # until the mass criterion provably holds.
+    while left > 0 and pdtr(left - 1, mean) > tolerance / 2.0:
         left -= 1
-    while dist.sf(right) > tolerance / 2.0:
+    while pdtrc(right, mean) > tolerance / 2.0:
         right += 1
     ks = np.arange(left, right + 1)
-    weights = dist.pmf(ks)
+    weights = np.exp(xlogy(ks, mean) - gammaln(ks + 1) - mean)
     return PoissonWindow(left=left, right=right, weights=weights, mean=mean)
 
 
@@ -394,7 +406,7 @@ def _plan(
             # charge it against the bound first.
             acc_bound += pi_bound * rmax * dt
             sf_right = accrual_right_point(mean, tolerance)
-            sf_weights = stats.poisson(mean).sf(np.arange(sf_right + 1))
+            sf_weights = pdtrc(np.arange(sf_right + 1), mean)
             acc_bound += (rmax / rate) * poisson_excess_mean(
                 mean, sf_right + 1
             )

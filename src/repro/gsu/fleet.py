@@ -41,9 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ctmc.accumulated import accumulated_reward
+from repro.ctmc.accumulated import transient_accumulated_grid
 from repro.ctmc.chain import CTMC
-from repro.ctmc.transient import transient_distribution
+# Not called here; perfbench/tracing.py patches both names on this module.
+from repro.ctmc.accumulated import accumulated_reward  # noqa: F401
+from repro.ctmc.transient import transient_distribution  # noqa: F401
 from repro.gsu.parameters import GSUParameters
 from repro.san.composition import (
     FLEET_FAILED,
@@ -319,31 +321,21 @@ class FleetSolver:
     def curve(self, phis: Sequence[float], method: str = "auto") -> np.ndarray:
         """``Y(phi)`` at every requested duration.
 
-        ``Y(phi) = E[fraction of operational processes at time phi]``.
-        Each *unique* phi is solved independently from ``t = 0`` (and
-        broadcast to duplicates), so the value at a duration never
-        depends on which other durations ride along — the property that
-        keeps campaign results bitwise identical across backends, job
-        counts, and chunk sizes.  On the lumped representation an
-        independent solve is a few hundred states — negligible; large
-        *flat* chains should batch through
+        ``Y(phi) = E[fraction of operational processes at time phi]``,
+        read off the distribution row of the fused solve described in
+        :meth:`batch` (``method`` is a
+        :func:`~repro.ctmc.accumulated.transient_accumulated_grid`
+        backend).  Each *unique* phi is solved independently from
+        ``t = 0`` (and broadcast to duplicates), so the value at a
+        duration never depends on which other durations ride along — the
+        property that keeps campaign results bitwise identical across
+        backends, job counts, and chunk sizes.  On the lumped
+        representation an independent solve is a few hundred states —
+        negligible; large *flat* chains should batch through
         :func:`repro.ctmc.transient.transient_grid` directly (the
         scaling benchmark does).
         """
-        grid = self._validated_grid(phis)
-        unique, inverse = np.unique(grid, return_inverse=True)
-        chain = self.chain()
-        rewards = self.operational_rewards()
-        values = np.array(
-            [
-                float(
-                    transient_distribution(chain, float(t), method=method)
-                    @ rewards
-                )
-                for t in unique
-            ]
-        )
-        return values[inverse]
+        return self._solve(phis, method)[0]
 
     def value(self, phi: float, method: str = "auto") -> float:
         """``Y(phi)`` at a single duration."""
@@ -354,33 +346,45 @@ class FleetSolver:
     ) -> np.ndarray:
         """Expected cumulative operational fraction ``int_0^phi ... du``.
 
-        The accumulated-reward companion of :meth:`curve`, with the same
-        per-unique-phi independence guarantee.
+        The accumulated-reward companion of :meth:`curve`, from the same
+        fused per-unique-phi solve.
         """
-        grid = self._validated_grid(phis)
-        unique, inverse = np.unique(grid, return_inverse=True)
-        chain = self.chain()
-        rewards = self.operational_rewards()
-        values = np.array(
-            [
-                accumulated_reward(chain, rewards, float(t), method=method)
-                for t in unique
-            ]
-        )
-        return values[inverse]
+        return self._solve(phis, method)[1]
 
     def batch(self, phis: Sequence[float]) -> list[dict[str, float]]:
         """Both fleet measures for many durations at once.
 
         Returns one ``{"Y": ..., "operational_time": ...}`` dict per
-        requested phi, in request order.
+        requested phi, in request order.  Each unique phi costs one
+        fused solve that yields the distribution row and the reward
+        integral together — one Jensen walk when non-stiff, one
+        augmented dense exponential when stiff — so ``batch`` agrees
+        bitwise with :meth:`curve` and :meth:`operational_time_curve`.
         """
-        y = self.curve(phis)
-        op_time = self.operational_time_curve(phis)
+        y, op_time = self._solve(phis, "auto")
         return [
             {"Y": float(a), "operational_time": float(b)}
             for a, b in zip(y, op_time)
         ]
+
+    def _solve(
+        self, phis: Sequence[float], method: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(Y, operational_time)`` per requested phi, one fused solve
+        from ``t = 0`` per unique phi."""
+        grid = self._validated_grid(phis)
+        unique, inverse = np.unique(grid, return_inverse=True)
+        chain = self.chain()
+        rewards = self.operational_rewards()
+        y = np.empty(unique.size)
+        op_time = np.empty(unique.size)
+        for k, t in enumerate(unique):
+            rows, acc = transient_accumulated_grid(
+                chain, rewards, [float(t)], method=method
+            )
+            y[k] = rows[0] @ rewards
+            op_time[k] = acc[0]
+        return y[inverse], op_time[inverse]
 
     def _validated_grid(self, phis: Sequence[float]) -> np.ndarray:
         grid = np.asarray([self.params.validate_phi(p) for p in phis])

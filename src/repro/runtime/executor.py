@@ -425,7 +425,7 @@ def _solve_fleet_chunk(
     """Module-level fleet chunk worker (picklable for the process pool).
 
     One :class:`FleetSolver` per chunk: the chain is built once and both
-    measures for every phi come from batched grid passes.
+    measures for every unique phi come from one fused solve.
     """
     solver = FleetSolver(params, mode=mode)
     start = time.perf_counter()

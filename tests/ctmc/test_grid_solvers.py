@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctmc.accumulated import (
+    ACCUMULATED_GRID_METHODS,
     accumulated_grid,
     accumulated_reward,
     transient_accumulated_grid,
@@ -116,9 +117,15 @@ class TestTransientGridMatchesScalar:
             "uniformization",
             "dense-expm",
             "spectral",
-            "propagator",
             "expm",
             "krylov",
+        }
+        assert set(ACCUMULATED_GRID_METHODS) == {
+            "auto",
+            "uniformization",
+            "augmented-expm",
+            "augmented-krylov",
+            "quadrature",
         }
 
 

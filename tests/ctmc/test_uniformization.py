@@ -62,6 +62,71 @@ class TestFoxGlynn:
         assert (tight.right - tight.left) > (loose.right - loose.left)
 
 
+def stats_fox_glynn(mean, tolerance):
+    """Oracle: the Fox–Glynn window built from a frozen scipy.stats.poisson."""
+    tolerance = max(tolerance, 1e-12)
+    dist = stats.poisson(mean)
+    left = int(dist.ppf(tolerance / 2.0))
+    right = int(dist.ppf(1.0 - tolerance / 2.0))
+    while left > 0 and dist.cdf(left - 1) > tolerance / 2.0:
+        left -= 1
+    while dist.sf(right) > tolerance / 2.0:
+        right += 1
+    return left, right, dist.pmf(np.arange(left, right + 1))
+
+
+def stats_excess_mean(mean, m):
+    """Oracle: ``E[(N - m)^+]`` through scipy.stats survival functions."""
+    if m <= 0:
+        return float(mean)
+    dist = stats.poisson(mean)
+    return float(max(0.0, mean * dist.sf(m - 1) - m * dist.sf(m)))
+
+
+def stats_accrual_right_point(mean, tolerance):
+    """Oracle: the accrual truncation point via scipy.stats ppf."""
+    tolerance = max(tolerance, 1e-15)
+    right = int(stats.poisson(mean).ppf(1.0 - tolerance))
+    target = tolerance * max(mean, 1.0)
+    while stats_excess_mean(mean, right + 1) > target:
+        right += 1
+    return right
+
+
+class TestPlannerMatchesScipyStats:
+    """The planner's scipy.special arithmetic is bitwise scipy.stats'."""
+
+    MEANS = np.geomspace(1e-3, 1e5, 60)
+    TOLERANCES = (1e-6, 1e-8, 1e-12)
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_fox_glynn_windows_bitwise(self, tolerance):
+        for mean in self.MEANS:
+            window = fox_glynn_weights(float(mean), tolerance)
+            left, right, weights = stats_fox_glynn(float(mean), tolerance)
+            assert (window.left, window.right) == (left, right), mean
+            assert window.weights.tobytes() == weights.tobytes(), mean
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_accrual_right_point_bitwise(self, tolerance):
+        from repro.ctmc.uniformization import accrual_right_point
+
+        for mean in self.MEANS:
+            assert accrual_right_point(
+                float(mean), tolerance
+            ) == stats_accrual_right_point(float(mean), tolerance), mean
+
+    def test_poisson_excess_mean_bitwise(self):
+        from repro.ctmc.uniformization import poisson_excess_mean
+
+        for mean in self.MEANS:
+            mean = float(mean)
+            for m in (0, 1, 2, int(mean), int(mean) + 1, int(2 * mean) + 5):
+                assert poisson_excess_mean(mean, m) == stats_excess_mean(
+                    mean, m
+                ), (mean, m)
+
+
 class TestUniformize:
     def test_row_stochastic(self, birth_death_chain):
         p, rate = uniformize(birth_death_chain.generator)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.ctmc import config
+from repro.ctmc.transient import transient_distribution
 from repro.gsu.fleet import FLEET_MODES, FleetParameters, FleetSolver
 from repro.gsu.parameters import PAPER_TABLE3
 
@@ -129,6 +131,32 @@ class TestFleetSolver:
         assert [entry["operational_time"] for entry in batch] == list(
             solver.operational_time_curve(phis)
         )
+
+    def test_batch_dispatches_one_solve_per_unique_phi(self):
+        solver = FleetSolver(FleetParameters(n_processes=4))
+        phis = [0.0, 0.25, 5000.0, 0.25]
+        solver.batch(phis)  # build the chain outside the counted window
+        before = config.dispatch_counts()
+        solver.batch(phis)
+        after = config.dispatch_counts()
+        solves = sum(after[k] - before.get(k, 0) for k in after)
+        assert solves == len(set(phis))
+
+    def test_y_is_the_transient_reward(self):
+        solver = FleetSolver(FleetParameters(n_processes=4))
+        chain = solver.chain()
+        rewards = solver.operational_rewards()
+        # Non-stiff: the fused walk's row is the transient walk's, bitwise.
+        for phi in (0.25, 10.0):
+            assert config.auto_method(chain, phi) == "uniformization"
+            assert solver.value(phi) == float(
+                transient_distribution(chain, phi) @ rewards
+            )
+        # Stiff: the augmented exponential's row vs the plain one.
+        for phi in (2000.0, 5000.0):
+            assert config.auto_method(chain, phi) == "dense-expm"
+            reference = transient_distribution(chain, phi, method="auto")
+            assert abs(solver.value(phi) - float(reference @ rewards)) <= 1e-12
 
     def test_empty_grid_rejected(self):
         solver = FleetSolver(FleetParameters(n_processes=3))

@@ -72,7 +72,7 @@ class TestTransientOracle:
         assert "scalar:expm" in values
         assert "scalar:spectral" in values
         assert "grid:auto" in values
-        assert "grid:propagator" in values
+        assert "grid:krylov" in values
 
 
 class TestAccumulatedOracle:
